@@ -18,6 +18,10 @@ let history = 5
 let duration_ms = 6000
 let contexts_per_pass = 1200
 
+(* Nominal wall time of one repetition (set-up included) on the
+   reference host; it sets the repetition count, see [Measure]. *)
+let nominal_rep_s = 1.9
+
 type context = { state : float array; cwnd_tcp : float; prev_cwnd : float }
 
 (* Agent_env episodes of the actor over every suite trace, on the
@@ -112,21 +116,26 @@ let check_stride = 8
 let run ~seed ~seconds ~trace =
   let failures = ref [] in
   let fail msg = failures := msg :: !failures in
-  let (actor, contexts), setup_s =
-    Measure.setup_median ~k:5 (fun () ->
-        let actor = Canopy.Trainer.load_actor Actor_file.path in
-        let all = Array.of_list (record_contexts actor) in
-        (actor, pick ~seed all))
+  let reps = Measure.repetitions ~seconds ~nominal_s:nominal_rep_s in
+  (* Set-up: the checkpoint (netcheck included) and the contexts. *)
+  let setup () =
+    let actor = Canopy.Trainer.load_actor Actor_file.path in
+    let all = Array.of_list (record_contexts actor) in
+    (actor, pick ~seed all)
   in
-  let n = Array.length contexts in
+  let setups = Array.make reps nan in
   let rng = Prng.create seed in
   let per_prop = Array.map (fun _ -> ref []) properties in
   let op_ms = ref [] and pass_ms = ref [] and fcc_sum = ref 0. and comps = ref 0 and certified = ref 0 in
   let attempted = ref 0 and failed = ref 0 and busy = ref 0. and pass = ref 0 in
   let heap = ref nan in
   let g0 = Measure.gc_mark () in
-  let t_start = Measure.now_s () in
-  while !pass = 0 || Measure.now_s () -. t_start < seconds do
+  let last = ref None in
+  while !pass < reps do
+    let (actor, contexts), s = Measure.timed_setup ~rep:!pass setup in
+    setups.(!pass) <- s;
+    last := Some (actor, contexts);
+    let n = Array.length contexts in
     Gc.full_major ();
     for i = 0 to n - 1 do
       incr attempted;
@@ -164,6 +173,8 @@ let run ~seed ~seconds ~trace =
     incr pass
   done;
   let g1 = Measure.gc_mark () in
+  let actor, contexts = Option.get !last in
+  let n = Array.length contexts in
   for i = 0 to n - 1 do
     if i mod check_stride = 0
        && not
@@ -228,7 +239,7 @@ let run ~seed ~seconds ~trace =
       let ok = Measure.same !fcc2 !fcc_sum in
       if not ok then fail "traced pass differs from the timed pass";
       let per_cert name = Span.self_ns name /. 1e3 /. float_of_int (Span.calls name) in
-      let untraced_s = !busy *. float_of_int n /. float_of_int !attempted in
+      let untraced_s = Measure.best_total_s op_ms in
       let layers =
         Measure.
           [
@@ -249,12 +260,11 @@ let run ~seed ~seconds ~trace =
     end
   in
   {
-    Measure.setup_s;
+    Measure.setups_s = setups;
     heap_peak_mb = !heap;
     attempted;
     failed;
     work = certs;
-    busy_s = !busy;
     op_ms;
     named;
     layers;

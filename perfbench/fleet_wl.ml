@@ -12,32 +12,29 @@ module Policy = Canopy.Policy
 module Mat = Canopy_tensor.Mat
 module Prng = Canopy_util.Prng
 
-type shape = {
-  flows : int;
-  duration_ms : int;
-  policy : unit -> Policy.t;
-  drop_band : float * float;  (** accepted packet drop rate, inclusive *)
-  warmup : int * int;
-      (** links (a multiple of 7, so every rate family is equally
-          represented) and duration of the set-up's warm-up serve *)
-}
-
+let flows = 98
+let duration_ms = 4000
 let min_rtt_ms = 40
 let interval_ms = 40
 let buffer_pkts = 160
 let history = 5
 
+(* Links of the set-up's warm-up serve: a multiple of 7, so every rate
+   family is equally represented. *)
+let warmup_flows = 14
+
+(* Accepted packet drop rate, inclusive. The committed actor's regime on
+   these links: a few drops per thousand packets sent, windows near the
+   bandwidth-delay product. *)
+let drop_band = (1e-4, 0.02)
+
+(* Nominal wall time of one repetition (set-up included) on the
+   reference host; it sets the repetition count, see [Measure]. *)
+let nominal_rep_s = 0.2
+
 (* The committed, briefly trained actor, loaded through the trainer's
-   netcheck gate. Its regime on these links: a few drops per ten
-   thousand packets sent, windows near the bandwidth-delay product. *)
-let steady =
-  {
-    flows = 500;
-    duration_ms = 4000;
-    policy = (fun () -> `Mlp (Canopy.Trainer.load_actor Actor_file.path));
-    drop_band = (1e-4, 0.02);
-    warmup = (49, 4000);
-  }
+   netcheck gate. *)
+let load_policy () = `Mlp (Canopy.Trainer.load_actor Actor_file.path)
 
 (* Seven rate families, 12–48 Mbps staggered as in [bench fleet]. The
    seed deals the offsets −1.5 … +1.5 Mbps to the families and the flows
@@ -45,7 +42,7 @@ let steady =
    capacity, and with it the work per tick, stays the same. Flows of one
    family share one trace value, so the fleet builds one packets-per-ms
    table per family. *)
-let link_cfgs ~seed shape =
+let link_cfgs ~seed ~flows =
   let rng = Prng.create (seed * 7919) in
   let offsets = Array.init 7 (fun k -> 0.5 *. float_of_int (k - 3)) in
   Prng.shuffle rng offsets;
@@ -54,15 +51,15 @@ let link_cfgs ~seed shape =
         let mbps = 12. +. (6. *. float_of_int k) +. offsets.(k) in
         Canopy_trace.Trace.constant
           ~name:(Printf.sprintf "perf-s%d-f%d" seed k)
-          ~duration_ms:shape.duration_ms ~mbps)
+          ~duration_ms ~mbps)
   in
-  let family = Array.init shape.flows (fun i -> i mod 7) in
+  let family = Array.init flows (fun i -> i mod 7) in
   Prng.shuffle rng family;
   Array.map
     (fun k ->
       {
         (Agent_env.default_config ~trace:traces.(k) ~min_rtt_ms ~buffer_pkts
-           ~duration_ms:shape.duration_ms)
+           ~duration_ms)
         with
         interval_ms = Some interval_ms;
         history;
@@ -194,33 +191,32 @@ let replica ~policy env =
   done;
   (!ticks, reward_sum)
 
-let run shape ~seed ~seconds ~trace =
+let run ~seed ~seconds ~trace =
+  let reps = Measure.repetitions ~seconds ~nominal_s:nominal_rep_s in
   let failures = ref [] in
   let fail msg = failures := msg :: !failures in
-  (* Set-up: the policy (netcheck included), the link configurations and
-     a short warm-up serve. *)
-  let warm =
-    { shape with flows = fst shape.warmup; duration_ms = snd shape.warmup }
-  in
-  let (policy, cfgs), setup_s =
-    Measure.setup_median ~k:5 (fun () ->
-        let policy = shape.policy () in
-        ignore (Fleet_eval.run ~policy (link_cfgs ~seed warm));
-        (policy, link_cfgs ~seed shape))
-  in
-  let samples = sample_flows ~seed shape.flows in
-  let flow_ms = float_of_int (shape.flows * shape.duration_ms) in
+  let samples = sample_flows ~seed flows in
+  let flow_ms = float_of_int (flows * duration_ms) in
   let serves = ref [] and build_s = ref 0. and raised = ref false in
+  let setups = Array.make reps nan and last = ref None in
   let heap = ref nan in
   let g0 = Measure.gc_mark () in
-  let t_start = Measure.now_s () in
-  while
-    (not !raised) && (!serves = [] || Measure.now_s () -. t_start < seconds)
-  do
+  let rep = ref 0 in
+  while (not !raised) && !rep < reps do
+    (* Set-up: the policy (netcheck included), the link configurations
+       and a short warm-up serve. *)
+    let (policy, cfgs), s =
+      Measure.timed_setup ~rep:!rep (fun () ->
+          let policy = load_policy () in
+          ignore (Fleet_eval.run ~policy (link_cfgs ~seed ~flows:warmup_flows));
+          (policy, link_cfgs ~seed ~flows))
+    in
+    setups.(!rep) <- s;
+    last := Some (policy, cfgs);
     Gc.full_major ();
     let env, b = Measure.time (fun () -> Fleet_env.create cfgs) in
     build_s := !build_s +. b;
-    match timed_serve ~policy ~samples env with
+    (match timed_serve ~policy ~samples env with
     | result, wall, tick_ms, traj ->
         if !serves = [] then heap := Measure.heap_peak_mb ();
         serves :=
@@ -228,11 +224,13 @@ let run shape ~seed ~seconds ~trace =
           :: !serves
     | exception e ->
         raised := true;
-        fail ("Fleet_eval.serve raised " ^ Printexc.to_string e)
+        fail ("Fleet_eval.serve raised " ^ Printexc.to_string e));
+    incr rep
   done;
+  let policy, cfgs = Option.get !last in
   let g1 = Measure.gc_mark () in
   let serves = List.rev !serves in
-  let ticks_per_serve = shape.duration_ms / interval_ms in
+  let ticks_per_serve = duration_ms / interval_ms in
   let failed = ref (if !raised then ticks_per_serve else 0) in
   (match serves with
   | [] -> ()
@@ -281,7 +279,7 @@ let run shape ~seed ~seconds ~trace =
           s.result.mean_utilization )
   in
   let drop_rate = float_of_int dropped /. float_of_int (max 1 sent) in
-  let lo, hi = shape.drop_band in
+  let lo, hi = drop_band in
   if first <> None && not (drop_rate >= lo && drop_rate <= hi) then
     fail
       (Printf.sprintf "regime guard: drop rate %.6f outside [%g, %g]" drop_rate
@@ -349,7 +347,7 @@ let run shape ~seed ~seconds ~trace =
         in
         if not ok then fail "traced replica differs from Fleet_eval.serve";
         let per_tick name = Span.self_ns name /. 1e3 /. nt in
-        let untraced_s = busy /. float_of_int n_serves in
+        let untraced_s = Measure.best_total_s tick_reps in
         let layers =
           Measure.
             [
@@ -361,7 +359,7 @@ let run shape ~seed ~seconds ~trace =
               metric "policy.predict_rows_us" (per_tick "policy.predict_rows") "us";
               metric "policy.ns_per_decision"
                 (Span.self_ns "policy.predict_rows"
-                /. (nt *. float_of_int shape.flows))
+                /. (nt *. float_of_int flows))
                 "ns";
               metric "netsim.ns_per_pkt_sent"
                 (Span.self_ns "orca.fleet_step" /. float_of_int (max 1 sent)) "ns";
@@ -385,12 +383,11 @@ let run shape ~seed ~seconds ~trace =
          !failed + if ok then 0 else ticks_per_serve)
   in
   {
-    Measure.setup_s;
+    Measure.setups_s = Array.sub setups 0 n_serves;
     heap_peak_mb = !heap;
     attempted;
     failed;
     work;
-    busy_s = busy;
     op_ms = tick_reps;
     named;
     layers;

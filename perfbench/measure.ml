@@ -6,14 +6,13 @@ type metric = { name : string; value : float; unit_ : string }
 let metric name value unit_ = { name; value; unit_ }
 
 type report = {
-  setup_s : float;  (** median over the run's set-ups *)
+  setups_s : float array;  (** the run's set-up times, one per repetition *)
   heap_peak_mb : float;
       (** peak major heap after set-up and the first repetition, so the
-          reading does not depend on how many repetitions fit the run *)
+          reading does not depend on how many repetitions the run makes *)
   attempted : int;  (** operations attempted *)
   failed : int;  (** raised, non-finite, or failed a correctness check *)
   work : float;  (** units of work done by the timed operations *)
-  busy_s : float;  (** wall time spent inside the timed operations *)
   op_ms : float array list;
       (** per-operation latencies, one array per repetition of the same
           operation sequence *)
@@ -29,22 +28,34 @@ let time f =
   let r = f () in
   (r, now_s () -. t0)
 
-(* Median of [k] set-ups; the first one also carries process start-up
-   (runtime and module initialisation), counted from [process_t0]. *)
+(* How many repetitions a run makes: [seconds] over the workload's
+   nominal repetition time, a constant. The count depends on --seconds
+   only, not on how fast the code runs, so a faster and a slower version
+   take their fastest repetition out of equally many. *)
+let repetitions ~seconds ~nominal_s =
+  max 3 (int_of_float (Float.ceil (seconds /. nominal_s)))
+
+(* The process start, so that the first set-up also carries runtime and
+   module initialisation. *)
 let process_t0 = now_s ()
 
-let setup_median ~k f =
-  let times = Array.make k 0. in
-  let last = ref None in
-  for i = 0 to k - 1 do
-    let t0 = if i = 0 then process_t0 else now_s () in
-    let r = f () in
-    times.(i) <- now_s () -. t0;
-    last := Some r
-  done;
-  match !last with
-  | Some r -> (r, Canopy_util.Stats.median times)
-  | None -> invalid_arg "Measure.setup_median: k"
+(* One timed set-up, from a fully collected heap; repetition 0 is
+   counted from process start. *)
+let timed_setup ~rep f =
+  Gc.full_major ();
+  let t0 = if rep = 0 then process_t0 else now_s () in
+  let r = f () in
+  (r, now_s () -. t0)
+
+(* The fastest of a run's set-ups, for [setup_s]. Set-ups are spread
+   over the run, one before each repetition, and K is fixed, so this is
+   the set-up's cost outside the host's slow stretches, as the operation
+   timings are. Their median followed those stretches: 0.055 s against
+   0.10 s for the same fleet set-up within one run. *)
+let fastest xs = Array.fold_left Float.min infinity xs
+
+let median xs =
+  if Array.length xs = 0 then nan else Canopy_util.Stats.median xs
 
 let percentile xs p =
   if Array.length xs = 0 then nan else Canopy_util.Stats.percentile xs p
@@ -71,16 +82,22 @@ let heap_peak_mb () =
   let s = Gc.quick_stat () in
   float_of_int (s.top_heap_words * (Sys.word_size / 8)) /. (1024. *. 1024.)
 
-(* Every run repeats one operation sequence several times on identical
-   inputs, each repetition starting from a fully collected heap. Per operation, the fastest repetition: other tenants of a
-   shared host slow single operations by up to half for stretches of a
-   second or more, and the fastest of several repetitions is what the
-   operation costs the program when they do not. *)
+(* Every run repeats one operation sequence a fixed number of times on
+   identical inputs, each repetition after a fresh set-up and a fully
+   collected heap. Per operation, the fastest repetition: other tenants
+   of a shared host slow single operations by up to half for stretches
+   of a second or more, and the fastest of several repetitions is what
+   the operation costs the program when they do not. *)
 let best_of_reps = function
   | [] -> [||]
   | first :: _ as reps ->
       Array.init (Array.length first) (fun k ->
           List.fold_left (fun m a -> Float.min m a.(k)) infinity reps)
+
+(* One repetition's time, in s, built from each operation's fastest
+   repetition: the untraced time the end-to-end metrics stand for, which
+   a traced pass is compared with. *)
+let best_total_s reps = Array.fold_left ( +. ) 0. (best_of_reps reps) /. 1e3
 
 (* Bit-for-bit float comparisons. *)
 let bits a = Array.map Int64.bits_of_float a
