@@ -1,8 +1,8 @@
-(* The committed serving actor of [fleet_steady] and [certify]: a
-   [canopy-mlp v1] checkpoint. It is not an opaque blob: [derive] trains
-   it again from a fixed configuration and seed, and must reproduce the
-   file byte for byte. Serving workloads load the committed file, so a
-   change to training does not move them. *)
+(* The committed serving actor of [fleet_steady]: a [canopy-mlp v1]
+   checkpoint. It is not an opaque blob: [derive] trains it again from a
+   fixed configuration and seed, and must reproduce the file byte for
+   byte. The serving workload loads the committed file, so a change to
+   training does not move it. *)
 
 module Trainer = Canopy.Trainer
 

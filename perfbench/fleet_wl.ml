@@ -389,6 +389,7 @@ let run ~seed ~seconds ~trace =
     failed;
     work;
     op_ms = tick_reps;
+    parts = 1;
     named;
     layers;
     failures = List.rev !failures;

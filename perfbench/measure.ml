@@ -14,8 +14,9 @@ type report = {
   failed : int;  (** raised, non-finite, or failed a correctness check *)
   work : float;  (** units of work done by the timed operations *)
   op_ms : float array list;
-      (** per-operation latencies, one array per repetition of the same
-          operation sequence *)
+      (** latencies of the timed parts, one array per repetition of the
+          same operation sequence *)
+  parts : int;  (** consecutive timed parts per operation *)
   named : metric list;  (** the workload's own end-to-end readings *)
   layers : metric list;  (** per-layer readings (traced runs only) *)
   failures : string list;  (** one line per failed check *)
@@ -84,15 +85,25 @@ let heap_peak_mb () =
 
 (* Every run repeats one operation sequence a fixed number of times on
    identical inputs, each repetition after a fresh set-up and a fully
-   collected heap. Per operation, the fastest repetition: other tenants
-   of a shared host slow single operations by up to half for stretches
-   of a second or more, and the fastest of several repetitions is what
-   the operation costs the program when they do not. *)
+   collected heap. Per timed part, the fastest repetition: other tenants
+   of a shared host slow the program by up to 1.7x for stretches of
+   seconds to minutes, which leave brief quiet moments. The fastest of
+   20 or more repetitions spread over a run is what the part costs the
+   program when they do not; per-part medians followed the load instead,
+   and spread three times as much across runs. The shorter the part, the
+   likelier one of its repetitions falls in a quiet moment. *)
 let best_of_reps = function
   | [] -> [||]
   | first :: _ as reps ->
       Array.init (Array.length first) (fun k ->
           List.fold_left (fun m a -> Float.min m a.(k)) infinity reps)
+
+(* Operation latencies: the fastest repetitions of each operation's
+   [parts] consecutive timed parts, summed. *)
+let best_ops ~parts reps =
+  let best = best_of_reps reps in
+  Array.init (Array.length best / parts) (fun i ->
+      Array.fold_left ( +. ) 0. (Array.sub best (i * parts) parts))
 
 (* One repetition's time, in s, built from each operation's fastest
    repetition: the untraced time the end-to-end metrics stand for, which
