@@ -160,19 +160,27 @@ let dropped t ~flow = t.dropped.(flow)
 let capacity_pkts t ~flow = t.capacity_pkts.(flow)
 
 (* ------------------------------------------------------------------ *)
-(* Return-path ring *)
+(* Rings *)
 
-let ret_push t i arrival kind seq sent_ms =
-  let cap = Array.length t.r_arrival.(i) in
-  if t.r_len.(i) = cap then begin
-    (* Grow ×2, unrolling the ring to offset 0 (order preserved). *)
-    let ncap = 2 * cap in
-    let head = t.r_head.(i) and len = t.r_len.(i) in
+(* Both per-flow rings wrap their positions by compare-and-subtract, not
+   [mod]: every position handed to [wrap] is below [2 * cap]. *)
+let[@inline] wrap p cap = if p >= cap then p - cap else p
+let[@inline] wrap_prev p cap = if p = 0 then cap - 1 else p - 1
+
+(* Make room on flow [i]'s return ring for [extra] more events, growing
+   ×2 (unrolling the ring to offset 0, order preserved) until they fit,
+   so the caller can then push them through arrays it read once. *)
+let ret_reserve t i extra =
+  let cap = Array.length t.r_arrival.(i) and len = t.r_len.(i) in
+  if len + extra > cap then begin
+    let rec fit c = if len + extra > c then fit (2 * c) else c in
+    let ncap = fit (2 * cap) in
+    let head = t.r_head.(i) in
+    let first = Int.min len (cap - head) in
     let grow src =
       let dst = Array.make ncap 0 in
-      for k = 0 to len - 1 do
-        dst.(k) <- src.((head + k) mod cap)
-      done;
+      Array.blit src head dst 0 first;
+      Array.blit src 0 dst first (len - first);
       dst
     in
     t.r_arrival.(i) <- grow t.r_arrival.(i);
@@ -180,137 +188,183 @@ let ret_push t i arrival kind seq sent_ms =
     t.r_seq.(i) <- grow t.r_seq.(i);
     t.r_sent.(i) <- grow t.r_sent.(i);
     t.r_head.(i) <- 0
-  end;
-  let cap = Array.length t.r_arrival.(i) in
-  let tail = (t.r_head.(i) + t.r_len.(i)) mod cap in
-  t.r_arrival.(i).(tail) <- arrival;
-  t.r_kind.(i).(tail) <- kind;
-  t.r_seq.(i).(tail) <- seq;
-  t.r_sent.(i).(tail) <- sent_ms;
-  t.r_len.(i) <- t.r_len.(i) + 1
+  end
 
-(* Mirror of [Env.schedule]: O(1) watermark append in the jitter-free
-   case; under jitter, rebuild in exactly the order Env produces (the
-   new event consed ahead of the FIFO contents, then stable-sorted by
-   arrival — the watermark itself is left untouched, as in Env). *)
-let schedule t i arrival kind seq sent_ms =
-  if arrival >= t.last_scheduled.(i) then begin
-    t.last_scheduled.(i) <- arrival;
-    ret_push t i arrival kind seq sent_ms
-  end
-  else begin
-    let len = t.r_len.(i) and head = t.r_head.(i) in
-    let cap = Array.length t.r_arrival.(i) in
-    let existing =
-      List.init len (fun k ->
-          let p = (head + k) mod cap in
-          (t.r_arrival.(i).(p), t.r_kind.(i).(p), t.r_seq.(i).(p),
-           t.r_sent.(i).(p)))
-    in
-    let sorted =
-      List.stable_sort
-        (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b)
-        ((arrival, kind, seq, sent_ms) :: existing)
-    in
-    t.r_head.(i) <- 0;
-    t.r_len.(i) <- 0;
-    List.iter (fun (a, k, s, m) -> ret_push t i a k s m) sorted
-  end
+(* Mirror of [Env.schedule] on a return ring [ra]/[rk]/[rs]/[rm] of
+   capacity [cap] holding [len] events from [head], with room for one
+   more; returns the new watermark. The ring is always sorted by
+   arrival: an arrival at or past the watermark [last] is appended (the
+   O(1) jitter-free path), and an earlier one — possible only under
+   jitter or reordering — is inserted before the first event whose
+   arrival is ≥ its own, shifting the later events one slot towards the
+   tail. That is exactly where Env's "cons ahead of the FIFO contents,
+   then stable-sort by arrival" puts it, and, as in Env, the watermark
+   is left untouched. *)
+let ret_schedule (ra : int array) (rk : int array) (rs : int array)
+    (rm : int array) ~cap ~head ~len ~last (arrival : int) kind seq sent_ms =
+  let p = ref (wrap (head + len) cap) in
+  if arrival < last then begin
+    let k = ref len in
+    while !k > 0 && ra.(wrap_prev !p cap) >= arrival do
+      let q = wrap_prev !p cap in
+      ra.(!p) <- ra.(q);
+      rk.(!p) <- rk.(q);
+      rs.(!p) <- rs.(q);
+      rm.(!p) <- rm.(q);
+      p := q;
+      decr k
+    done
+  end;
+  ra.(!p) <- arrival;
+  rk.(!p) <- kind;
+  rs.(!p) <- seq;
+  rm.(!p) <- sent_ms;
+  Int.max last arrival
+
+(* Schedule [count] loss notifications, all arriving at [arrival], on
+   flow [i]'s return ring. *)
+let schedule_losses t i ~arrival ~count =
+  ret_reserve t i count;
+  let ra = t.r_arrival.(i) and rk = t.r_kind.(i) in
+  let rs = t.r_seq.(i) and rm = t.r_sent.(i) in
+  let cap = Array.length ra and head = t.r_head.(i) and len = t.r_len.(i) in
+  let last = ref t.last_scheduled.(i) in
+  for c = 0 to count - 1 do
+    last :=
+      ret_schedule ra rk rs rm ~cap ~head ~len:(len + c) ~last:!last arrival
+        ev_loss 0 0
+  done;
+  t.r_len.(i) <- len + count;
+  t.last_scheduled.(i) <- !last
 
 (* ------------------------------------------------------------------ *)
 (* One millisecond of one flow — the three phases of [Env.tick] *)
 
+(* The ring arrays are read once per call. Everything a handler could
+   observe, or that must survive a handler raising (the ring cursor,
+   inflight, delivered, the queueing-delay sum), is stored before each
+   handler call, as in [Env]. *)
 let process_return_path t (handlers : Env.handlers array) i ~now =
-  let continue = ref true in
-  while !continue && t.r_len.(i) > 0 do
-    let head = t.r_head.(i) in
-    let arrival = t.r_arrival.(i).(head) in
-    if arrival > now then continue := false
-    else begin
-      let kind = t.r_kind.(i).(head) in
-      let seq = t.r_seq.(i).(head) and sent_ms = t.r_sent.(i).(head) in
-      let cap = Array.length t.r_arrival.(i) in
-      t.r_head.(i) <- (head + 1) mod cap;
-      t.r_len.(i) <- t.r_len.(i) - 1;
-      if kind = ev_ack then begin
-        t.inflight.(i) <- max 0 (t.inflight.(i) - 1);
-        t.delivered.(i) <- t.delivered.(i) + 1;
-        let rtt = now - sent_ms in
+  let ra = t.r_arrival.(i) in
+  let head = ref t.r_head.(i) and len = ref t.r_len.(i) in
+  if !len > 0 && ra.(!head) <= now then begin
+    let rk = t.r_kind.(i) and rs = t.r_seq.(i) and rm = t.r_sent.(i) in
+    let cap = Array.length ra in
+    let h = handlers.(i) in
+    let min_rtt = float_of_int t.min_rtt.(i) in
+    while !len > 0 && ra.(!head) <= now do
+      let p = !head in
+      head := wrap (p + 1) cap;
+      decr len;
+      t.r_head.(i) <- !head;
+      t.r_len.(i) <- !len;
+      t.inflight.(i) <- Int.max 0 (t.inflight.(i) - 1);
+      if rk.(p) = ev_ack then begin
+        let delivered = t.delivered.(i) + 1 in
+        t.delivered.(i) <- delivered;
+        let rtt = now - rm.(p) in
         (* Running queueing-delay sum in ack order: dividing by the
            delivered count reproduces [Env.avg_qdelay_ms]'s
            fold-over-samples bitwise. *)
         t.qdelay_sum_ms.(i) <-
-          t.qdelay_sum_ms.(i)
-          +. Float.max 0. (float_of_int rtt -. float_of_int t.min_rtt.(i));
-        handlers.(i).Env.on_ack
-          { Env.now_ms = now; seq; rtt_ms = rtt; delivered = t.delivered.(i) }
+          t.qdelay_sum_ms.(i) +. Float.max 0. (float_of_int rtt -. min_rtt);
+        h.Env.on_ack { Env.now_ms = now; seq = rs.(p); rtt_ms = rtt; delivered }
       end
-      else begin
-        t.inflight.(i) <- max 0 (t.inflight.(i) - 1);
-        handlers.(i).Env.on_loss ~now_ms:now
-      end
-    end
-  done
+      else h.Env.on_loss ~now_ms:now
+    done
+  end
 
+(* Fills the window in one step: the first [buffer - q_len] of the
+   [window - inflight] new packets join the queue and the rest overflow
+   it, which is what [Env.sender_fill]'s per-packet loop does, since no
+   packet leaves the queue while the sender fills. *)
 let sender_fill t i ~now =
-  let window = max 1 (int_of_float (Float.floor t.cwnd.(i))) in
-  while t.inflight.(i) < window do
-    let seq = t.next_seq.(i) in
-    t.next_seq.(i) <- seq + 1;
-    t.sent.(i) <- t.sent.(i) + 1;
-    t.inflight.(i) <- t.inflight.(i) + 1;
-    if t.q_len.(i) < t.buffer.(i) then begin
-      let cap = t.buffer.(i) in
-      let tail = (t.q_head.(i) + t.q_len.(i)) mod cap in
-      t.q_seq.(i).(tail) <- seq;
-      t.q_sent.(i).(tail) <- now;
-      t.q_len.(i) <- t.q_len.(i) + 1
+  let window = Int.max 1 (int_of_float (Float.floor t.cwnd.(i))) in
+  let inflight = t.inflight.(i) in
+  if inflight < window then begin
+    let count = window - inflight in
+    let seq0 = t.next_seq.(i) in
+    t.next_seq.(i) <- seq0 + count;
+    t.sent.(i) <- t.sent.(i) + count;
+    t.inflight.(i) <- window;
+    let cap = t.buffer.(i) and qlen = t.q_len.(i) in
+    let queued = Int.min count (cap - qlen) in
+    if queued > 0 then begin
+      let qs = t.q_seq.(i) and qm = t.q_sent.(i) in
+      let p = ref (wrap (t.q_head.(i) + qlen) cap) in
+      for seq = seq0 to seq0 + queued - 1 do
+        qs.(!p) <- seq;
+        qm.(!p) <- now;
+        p := wrap (!p + 1) cap
+      done;
+      t.q_len.(i) <- qlen + queued
+    end;
+    let overflow = count - queued in
+    if overflow > 0 then begin
+      t.dropped.(i) <- t.dropped.(i) + overflow;
+      schedule_losses t i ~arrival:(now + t.min_rtt.(i)) ~count:overflow
     end
-    else begin
-      t.dropped.(i) <- t.dropped.(i) + 1;
-      schedule t i (now + t.min_rtt.(i)) ev_loss 0 0
-    end
-  done
+  end
 
-let drain_bottleneck t i ~now ~ppms =
+(* [tab.(k)] is this millisecond's delivery opportunities; the table and
+   index are passed rather than the float, which would be boxed. *)
+let drain_bottleneck t i ~now ~tab ~k =
+  let ppms = tab.(k) in
   t.capacity_pkts.(i) <- t.capacity_pkts.(i) +. ppms;
   t.credit.(i) <- t.credit.(i) +. ppms;
   let opportunities = int_of_float (Float.floor t.credit.(i)) in
   t.credit.(i) <- t.credit.(i) -. float_of_int opportunities;
-  let used = min opportunities t.q_len.(i) in
-  for _ = 1 to used do
-    let cap = t.buffer.(i) in
-    let head = t.q_head.(i) in
-    let seq = t.q_seq.(i).(head) and sent_ms = t.q_sent.(i).(head) in
-    t.q_head.(i) <- (head + 1) mod cap;
-    t.q_len.(i) <- t.q_len.(i) - 1;
-    if t.random_loss.(i) > 0. && Prng.float t.rng.(i) 1. < t.random_loss.(i)
-    then begin
-      t.dropped.(i) <- t.dropped.(i) + 1;
-      schedule t i (now + t.min_rtt.(i)) ev_loss 0 0
-    end
-    else begin
-      let jitter =
-        if t.jitter.(i) = 0 then 0 else Prng.int t.rng.(i) (t.jitter.(i) + 1)
-      in
-      (* Same gated draw order as [Env.drain_bottleneck]: jitter, then
-         reordering — the per-flow PRNG streams stay aligned bitwise. *)
-      let reorder =
-        if
-          t.reorder_prob.(i) > 0.
-          && Prng.float t.rng.(i) 1. < t.reorder_prob.(i)
-        then t.reorder_ms.(i)
-        else 0
-      in
-      schedule t i (now + t.min_rtt.(i) + jitter + reorder) ev_ack seq sent_ms
-    end
-  done
+  let used = Int.min opportunities t.q_len.(i) in
+  if used > 0 then begin
+    ret_reserve t i used;
+    let qs = t.q_seq.(i) and qm = t.q_sent.(i) and qcap = t.buffer.(i) in
+    let ra = t.r_arrival.(i) and rk = t.r_kind.(i) in
+    let rs = t.r_seq.(i) and rm = t.r_sent.(i) in
+    let cap = Array.length ra and head = t.r_head.(i) in
+    let len = ref t.r_len.(i) and last = ref t.last_scheduled.(i) in
+    let due = now + t.min_rtt.(i) in
+    let random_loss = t.random_loss.(i) and jitter_ms = t.jitter.(i) in
+    let reorder_prob = t.reorder_prob.(i) and reorder_ms = t.reorder_ms.(i) in
+    let rng = t.rng.(i) in
+    let qhead = ref t.q_head.(i) and lost = ref 0 in
+    for _ = 1 to used do
+      let p = !qhead in
+      qhead := wrap (p + 1) qcap;
+      if random_loss > 0. && Prng.float rng 1. < random_loss then begin
+        incr lost;
+        last :=
+          ret_schedule ra rk rs rm ~cap ~head ~len:!len ~last:!last due
+            ev_loss 0 0
+      end
+      else begin
+        let jitter =
+          if jitter_ms = 0 then 0 else Prng.int rng (jitter_ms + 1)
+        in
+        (* Same gated draw order as [Env.drain_bottleneck]: jitter, then
+           reordering — the per-flow PRNG streams stay aligned bitwise. *)
+        let reorder =
+          if reorder_prob > 0. && Prng.float rng 1. < reorder_prob then
+            reorder_ms
+          else 0
+        in
+        last :=
+          ret_schedule ra rk rs rm ~cap ~head ~len:!len ~last:!last
+            (due + jitter + reorder) ev_ack qs.(p) qm.(p)
+      end;
+      incr len
+    done;
+    t.q_head.(i) <- !qhead;
+    t.q_len.(i) <- t.q_len.(i) - used;
+    t.dropped.(i) <- t.dropped.(i) + !lost;
+    t.r_len.(i) <- !len;
+    t.last_scheduled.(i) <- !last
+  end
 
-let tick_flow t handlers i ~now ~ppms =
+let tick_flow t handlers i ~now ~tab ~k =
   process_return_path t handlers i ~now;
   (* Fill before draining (Mahimahi semantics), as in [Env.tick]. *)
   sender_fill t i ~now;
-  drain_bottleneck t i ~now ~ppms
+  drain_bottleneck t i ~now ~tab ~k
 
 (* ------------------------------------------------------------------ *)
 (* Fleet driver *)
@@ -346,7 +400,7 @@ let run ?after_tick t handlers ~ms =
       for i = lo to hi - 1 do
         let tab = ppms_tab.(t.family.(i)) in
         for k = 0 to ms - 1 do
-          tick_flow t handlers i ~now:(now0 + k + 1) ~ppms:tab.(k);
+          tick_flow t handlers i ~now:(now0 + k + 1) ~tab ~k;
           match after_tick with Some f -> f i | None -> ()
         done
       done

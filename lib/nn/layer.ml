@@ -361,17 +361,31 @@ let forward_eval_into ~dst layer x =
         invalid_arg "Layer.forward_eval_into: dims";
       let xd = Mat.raw x and od = Mat.raw dst in
       let gamma = bn.gamma and beta = bn.beta in
-      let rm = bn.running_mean and rv = bn.running_var in
-      for b = 0 to n - 1 do
+      let rm = bn.running_mean in
+      (* [1/sqrt(var+eps)] once per channel, parked in [dst]'s row 0:
+         rows 1.. read it from there, then row 0 overwrites each cell
+         right after reading its own channel's constant. The per-element
+         expression is [forward1_into]'s, unchanged. *)
+      for i = 0 to dim - 1 do
+        Array.unsafe_set od i
+          (1. /. sqrt (Array.unsafe_get bn.running_var i +. bn.eps))
+      done;
+      for b = 1 to n - 1 do
         let base = b * dim in
         for i = 0 to dim - 1 do
-          let inv = 1. /. sqrt (Array.unsafe_get rv i +. bn.eps) in
           Array.unsafe_set od (base + i)
             ((Array.unsafe_get gamma i
              *. (Array.unsafe_get xd (base + i) -. Array.unsafe_get rm i)
-             *. inv)
+             *. Array.unsafe_get od i)
             +. Array.unsafe_get beta i)
         done
+      done;
+      for i = 0 to dim - 1 do
+        Array.unsafe_set od i
+          ((Array.unsafe_get gamma i
+           *. (Array.unsafe_get xd i -. Array.unsafe_get rm i)
+           *. Array.unsafe_get od i)
+          +. Array.unsafe_get beta i)
       done
   | Leaky_relu slope ->
       if Mat.cols x <> Mat.cols dst then

@@ -1,12 +1,18 @@
+(* The mutable floats live in an all-float record, stored flat, so the
+   per-ACK updates write them in place instead of allocating a box each. *)
+type floats = {
+  mutable rtt_sum_ms : float;
+  mutable srtt_ms : float;
+  mutable last_noise : float;
+}
+
 type t = {
   min_rtt_ms : int;
   delay_noise : (Canopy_util.Prng.t * float) option;
   mutable acks : int;
   mutable losses : int;
-  mutable rtt_sum_ms : float;
-  mutable srtt_ms : float;
   mutable last_take_ms : int;
-  mutable last_noise : float;
+  f : floats;
 }
 
 let create ?delay_noise ~min_rtt_ms () =
@@ -19,33 +25,32 @@ let create ?delay_noise ~min_rtt_ms () =
     delay_noise;
     acks = 0;
     losses = 0;
-    rtt_sum_ms = 0.;
-    srtt_ms = 0.;
     last_take_ms = 0;
-    last_noise = 1.;
+    f = { rtt_sum_ms = 0.; srtt_ms = 0.; last_noise = 1. };
   }
 
 let handlers t =
+  let f = t.f in
   {
     Canopy_netsim.Env.on_ack =
       (fun ack ->
         t.acks <- t.acks + 1;
         let rtt = float_of_int ack.rtt_ms in
-        t.rtt_sum_ms <- t.rtt_sum_ms +. rtt;
-        t.srtt_ms <-
-          (if t.srtt_ms = 0. then rtt
-           else (0.875 *. t.srtt_ms) +. (0.125 *. rtt)));
+        f.rtt_sum_ms <- f.rtt_sum_ms +. rtt;
+        f.srtt_ms <-
+          (if f.srtt_ms = 0. then rtt
+           else (0.875 *. f.srtt_ms) +. (0.125 *. rtt)));
     on_loss = (fun ~now_ms:_ -> t.losses <- t.losses + 1);
   }
 
-let srtt_ms t = t.srtt_ms
-let last_qdelay_noise t = t.last_noise
+let srtt_ms t = t.f.srtt_ms
+let last_qdelay_noise t = t.f.last_noise
 
 let take t ~now_ms ~cwnd_pkts =
   let interval_ms = max 1 (now_ms - t.last_take_ms) in
   let avg_rtt =
     if t.acks = 0 then float_of_int t.min_rtt_ms
-    else t.rtt_sum_ms /. float_of_int t.acks
+    else t.f.rtt_sum_ms /. float_of_int t.acks
   in
   let qdelay = Float.max 0. (avg_rtt -. float_of_int t.min_rtt_ms) in
   let noise =
@@ -53,7 +58,7 @@ let take t ~now_ms ~cwnd_pkts =
     | None -> 1.
     | Some (rng, mu) -> Canopy_util.Prng.uniform rng (1. -. mu) (1. +. mu)
   in
-  t.last_noise <- noise;
+  t.f.last_noise <- noise;
   let thr_mbps =
     float_of_int t.acks *. float_of_int Canopy_netsim.Env.default_mtu *. 8.
     /. 1e6
@@ -66,13 +71,13 @@ let take t ~now_ms ~cwnd_pkts =
       avg_qdelay_ms = qdelay *. noise;
       n_acks = t.acks;
       interval_ms;
-      srtt_ms = (if t.srtt_ms = 0. then avg_rtt else t.srtt_ms);
+      srtt_ms = (if t.f.srtt_ms = 0. then avg_rtt else t.f.srtt_ms);
       cwnd_pkts;
       min_rtt_ms = float_of_int t.min_rtt_ms;
     }
   in
   t.acks <- 0;
   t.losses <- 0;
-  t.rtt_sum_ms <- 0.;
+  t.f.rtt_sum_ms <- 0.;
   t.last_take_ms <- now_ms;
   obs

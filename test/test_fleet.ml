@@ -138,6 +138,165 @@ let test_fleet_matches_env () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Fleet vs per-flow Env over random configurations *)
+
+(* Flows pick one of these physically shared traces, so the trace-family
+   dedup is exercised; rates from a fraction of a packet to several
+   packets per millisecond, constant and piecewise. *)
+let diff_traces =
+  [|
+    Trace.constant ~name:"d0" ~duration_ms:1_000 ~mbps:1.5;
+    Trace.constant ~name:"d1" ~duration_ms:1_000 ~mbps:12.;
+    Trace.constant ~name:"d2" ~duration_ms:1_000 ~mbps:30.;
+    Trace.of_segments ~name:"d3" [ (7, 40.); (5, 0.); (11, 6.) ];
+  |]
+
+(* A flow: trace index, minRTT, droptail buffer (1–8 packets, so the
+   queue ring wraps and overflows), initial window, and optional
+   impairments (random loss, ACK jitter, reordering, PRNG seed). *)
+let arb_flow =
+  QCheck.(
+    quad (int_range 0 3) (int_range 2 40) (int_range 1 8)
+      (pair (int_range 1 20)
+         (option ~ratio:0.4
+            (quad (float_range 0. 0.3) (int_range 0 10)
+               (pair (float_range 0. 0.5) (int_range 0 20))
+               small_nat))))
+
+(* Windows up to the 5×10⁴ clamp, mostly small: above 16 in flight the
+   return ring has to grow past its initial capacity. *)
+let arb_window =
+  QCheck.make ~print:QCheck.Print.int ~shrink:QCheck.Shrink.int
+    QCheck.Gen.(
+      frequency
+        [ (6, 1 -- 64); (3, 65 -- 2_000); (1, 2_001 -- 50_000) ])
+
+(* A schedule: segments of 1–25 ms; flow [i] runs a segment at the
+   window [List.nth windows (i mod length)]. *)
+let arb_segments =
+  QCheck.(
+    list_of_size Gen.(1 -- 5)
+      (pair (int_range 1 25) (list_of_size Gen.(1 -- 3) arb_window)))
+
+(* Shrinking may step outside the generators' ranges; clamping here keeps
+   every shrunk candidate a valid link. *)
+let env_config (trace, min_rtt, buffer, (cwnd0, impair)) =
+  let prob p = Float.min 0.9 (Float.max 0. p) in
+  {
+    Env.trace = diff_traces.(Int.abs trace mod Array.length diff_traces);
+    min_rtt_ms = max 2 min_rtt;
+    buffer_pkts = max 1 buffer;
+    mtu_bytes = Env.default_mtu;
+    initial_cwnd = float_of_int (max 1 cwnd0);
+    impairments =
+      (match impair with
+      | None -> Env.no_impairments
+      | Some (loss, jitter, (reorder, reorder_ms), seed) ->
+          {
+            Env.random_loss = prob loss;
+            ack_jitter_ms = max 0 jitter;
+            reorder_prob = prob reorder;
+            reorder_ms = max 0 reorder_ms;
+            seed;
+          });
+  }
+
+type event = Ack of int * int * int * int | Loss of int
+
+let recording_handlers n =
+  let events = Array.make n [] in
+  ( events,
+    Array.init n (fun i ->
+        {
+          Env.on_ack =
+            (fun (a : Env.ack) ->
+              events.(i) <-
+                Ack (a.Env.now_ms, a.Env.seq, a.Env.rtt_ms, a.Env.delivered)
+                :: events.(i));
+          on_loss = (fun ~now_ms -> events.(i) <- Loss now_ms :: events.(i));
+        }) )
+
+(* First counter or metric of flow [i] that differs between the scalar
+   [Env] and the fleet, compared to the bit. *)
+let flow_mismatch env fleet i =
+  let s = Env.stats env in
+  let fbits a b = Int64.bits_of_float a = Int64.bits_of_float b in
+  List.find_map
+    (fun (name, same) -> if same then None else Some name)
+    [
+      ("sent", s.Env.sent = Fleet.sent fleet ~flow:i);
+      ("delivered", s.Env.delivered = Fleet.delivered fleet ~flow:i);
+      ("dropped", s.Env.dropped = Fleet.dropped fleet ~flow:i);
+      ("inflight", Env.inflight env = Fleet.inflight fleet ~flow:i);
+      ("queue", Env.queue_len env = Fleet.queue_len fleet ~flow:i);
+      ("capacity", fbits s.Env.capacity_pkts (Fleet.capacity_pkts fleet ~flow:i));
+      ("cwnd", fbits (Env.cwnd env) (Fleet.cwnd fleet ~flow:i));
+      ("utilization", fbits (Env.utilization env) (Fleet.utilization fleet ~flow:i));
+      ("loss rate", fbits (Env.loss_rate env) (Fleet.loss_rate fleet ~flow:i));
+      ("avg qdelay", fbits (Env.avg_qdelay_ms env) (Fleet.avg_qdelay_ms fleet ~flow:i));
+    ]
+
+(* [Env] reschedules an out-of-order event by rebuilding and sorting its
+   whole return path, so under jitter or reordering its cost grows with
+   the square of the packets in flight; those flows keep windows of at
+   most [jittered_window_cap] so the oracle stays fast. *)
+let jittered_window_cap = 512
+
+(* Each segment sets every flow's window on both sides, advances the
+   scalar envs and the fleet (one [Fleet.run] over the whole segment),
+   then requires identical per-flow event streams for the segment and
+   identical counters after it. *)
+let fleet_matches_envs (flows, segments) =
+  match flows with
+  | [] -> true
+  | _ ->
+      let cfgs = Array.of_list (List.map env_config flows) in
+      let n = Array.length cfgs in
+      let envs = Array.map Env.create cfgs and fleet = Fleet.create cfgs in
+      let e_events, e_handlers = recording_handlers n in
+      let f_events, f_handlers = recording_handlers n in
+      List.iteri
+        (fun seg (ms, windows) ->
+          let windows = Array.of_list windows in
+          for i = 0 to n - 1 do
+            let w =
+              if Array.length windows = 0 then 1
+              else windows.(i mod Array.length windows)
+            in
+            let imp = cfgs.(i).Env.impairments in
+            let w =
+              float_of_int
+                (if imp.Env.ack_jitter_ms > 0 || imp.Env.reorder_prob > 0. then
+                   min w jittered_window_cap
+                 else w)
+            in
+            Env.set_cwnd envs.(i) w;
+            Fleet.set_cwnd fleet ~flow:i w;
+            e_events.(i) <- [];
+            f_events.(i) <- []
+          done;
+          Array.iteri (fun i env -> Env.run env e_handlers.(i) ~ms) envs;
+          Fleet.run fleet f_handlers ~ms;
+          for i = 0 to n - 1 do
+            if e_events.(i) <> f_events.(i) then
+              QCheck.Test.fail_reportf "segment %d, flow %d: event stream" seg i;
+            match flow_mismatch envs.(i) fleet i with
+            | Some what ->
+                QCheck.Test.fail_reportf "segment %d, flow %d: %s" seg i what
+            | None -> ()
+          done)
+        segments;
+      true
+
+let qcheck_fleet =
+  [
+    QCheck.Test.make ~name:"fleet == per-flow Env on random configs (bits)"
+      ~count:150
+      QCheck.(pair (list_of_size Gen.(1 -- 6) arb_flow) arb_segments)
+      fleet_matches_envs;
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Fleet_env vs per-flow Agent_env, bit for bit *)
 
 let agent_cfg ?(impair = Env.no_impairments) ~duration_ms i =
@@ -310,6 +469,68 @@ let test_fleet_env_validation () =
     (match Fleet_env.step env ~actions:[| 0.; 1.5 |] with
     | _ -> false
     | exception Invalid_argument _ -> true)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation gate *)
+
+(* Minor-heap words allocated per flow·ms while serving 8 links × 2 s on
+   a one-domain pool, where the fleet steps every flow on the calling
+   domain, so the count is a property of the code, not of the host. The
+   policy is a zero dense layer: action 0 enforces exactly Cubic's
+   window (Eq. 1), which keeps the links in the steady, ACK-dominated
+   regime (checked below) whatever a trained actor would do. *)
+let serve_words_per_flow_ms () =
+  let duration_ms = 2_000 and flows = 8 in
+  (* Three rate families, each one shared trace value, as a served fleet
+     is built: the fleet computes one packets-per-ms table per family. *)
+  let traces =
+    Array.init 3 (fun k ->
+        Trace.constant ~name:(Printf.sprintf "g%d" k) ~duration_ms
+          ~mbps:(16. +. (8. *. float_of_int k)))
+  in
+  let cfgs =
+    Array.init flows (fun i ->
+        { (agent_cfg ~duration_ms i) with Agent_env.trace = traces.(i mod 3) })
+  in
+  let in_dim = Agent_env.state_dim cfgs.(0) in
+  let actor =
+    Mlp.create ~in_dim
+      [
+        Canopy_nn.Layer.dense ~rng:(Canopy_util.Prng.create 1) ~in_dim
+          ~out_dim:1;
+      ]
+  in
+  List.iter (fun (p, _) -> Array.fill p 0 (Array.length p) 0.) (Mlp.params actor);
+  let policy = `Mlp actor in
+  with_default_pool 1 (fun () ->
+      (* Warm the policy's scratch arena before counting. *)
+      ignore (Fleet_eval.run ~policy (Array.sub cfgs 0 1));
+      let env = Fleet_env.create cfgs in
+      let w0 = Gc.minor_words () in
+      let r = Fleet_eval.serve ~policy env in
+      let w1 = Gc.minor_words () in
+      check_int "served to the end" duration_ms r.Fleet_eval.duration_ms;
+      let fleet = Fleet_env.fleet env in
+      let sum f = Array.fold_left ( + ) 0 (Array.init flows (fun i -> f fleet ~flow:i)) in
+      let sent = sum Fleet.sent and delivered = sum Fleet.delivered in
+      (* Steady regime: over one ACK per flow·ms, under 5% dropped. *)
+      check_bool "ack-dominated regime" true
+        (delivered > flows * duration_ms && sum Fleet.dropped * 20 < sent);
+      (w1 -. w0) /. float_of_int (flows * duration_ms))
+
+(* Measured 15.5 at about 1.8 ACKs per flow·ms: the [Env.ack] record
+   each handler call receives (5 words per ACK), one boxed window per
+   flow·ms as Cubic's window crosses into the fleet, the per-call
+   packets-per-ms tables, and the per-tick observation and policy work.
+   A boxed float written per ACK by Cubic or Monitor would add about 3.6
+   per flow·ms and fail the gate. *)
+let serve_words_bound = 17.
+
+let test_fleet_serve_alloc_gate () =
+  let words = serve_words_per_flow_ms () in
+  check_bool
+    (Printf.sprintf "%.3f minor words per flow·ms < %g" words serve_words_bound)
+    true (words < serve_words_bound)
 
 (* ------------------------------------------------------------------ *)
 (* Coexistence *)
@@ -499,4 +720,7 @@ let suite =
       test_coexist_arrivals;
     Alcotest.test_case "coexist: deterministic" `Quick
       test_coexist_deterministic;
+    Alcotest.test_case "fleet serve allocation gate" `Quick
+      test_fleet_serve_alloc_gate;
   ]
+  @ List.map QCheck_alcotest.to_alcotest qcheck_fleet

@@ -335,6 +335,119 @@ let test_env_noise_changes_observations_not_link () =
   check_float "link unaffected" util_clean util_noisy;
   check_bool "observations perturbed" true (clean <> noisy)
 
+(* ------------------------------------------------------------------ *)
+(* Cubic + Monitor golden trajectory *)
+
+(* One fixed ACK/loss schedule through the backbone and the monitor, as
+   [Fleet_env] chains them: 30 slow-start ACKs, a loss followed by a
+   guarded second loss inside the same RTT, a congestion-avoidance epoch,
+   [force_cwnd] down and then past the clamp, and a late loss. Every
+   Cubic window / anchor, monitor srtt and observation field along the
+   way is compared, as hex floats, with a recorded sequence: how the two
+   modules store their mutable floats must not change a single bit. *)
+let cubic_monitor_trajectory () =
+  let c = Canopy_cc.Cubic.create () in
+  let m = Monitor.create ~delay_noise:(Prng.create 7, 0.2) ~min_rtt_ms:40 () in
+  let h = Monitor.handlers m in
+  let out = ref [] in
+  let emit x = out := x :: !out in
+  let state () =
+    emit (Canopy_cc.Cubic.cwnd c);
+    emit (Canopy_cc.Cubic.w_max c);
+    emit (if Canopy_cc.Cubic.in_slow_start c then 1. else 0.);
+    emit (Monitor.srtt_ms m)
+  in
+  let seq = ref 0 in
+  let ack now rtt =
+    let a = { Env.now_ms = now; seq = !seq; rtt_ms = rtt; delivered = !seq + 1 } in
+    incr seq;
+    Canopy_cc.Cubic.on_ack c a;
+    h.Env.on_ack a
+  in
+  let loss now =
+    Canopy_cc.Cubic.on_loss c ~now_ms:now;
+    h.Env.on_loss ~now_ms:now
+  in
+  let take now =
+    let o = Monitor.take m ~now_ms:now ~cwnd_pkts:(Canopy_cc.Cubic.cwnd c) in
+    List.iter emit
+      [
+        o.Observation.thr_mbps;
+        float_of_int o.loss_pkts;
+        o.avg_qdelay_ms;
+        float_of_int o.n_acks;
+        float_of_int o.interval_ms;
+        o.srtt_ms;
+        o.cwnd_pkts;
+        o.min_rtt_ms;
+        Monitor.last_qdelay_noise m;
+      ]
+  in
+  for k = 1 to 30 do
+    ack k (40 + (k mod 7));
+    if k mod 10 = 0 then state ()
+  done;
+  take 40;
+  loss 45;
+  state ();
+  loss 47;
+  state ();
+  for k = 0 to 59 do
+    ack (50 + (2 * k)) (45 + (k mod 11));
+    if k mod 10 = 9 then state ()
+  done;
+  take 170;
+  Canopy_cc.Cubic.force_cwnd c 8.5;
+  state ();
+  for k = 0 to 19 do
+    ack (175 + k) (41 + (k mod 3))
+  done;
+  state ();
+  Canopy_cc.Cubic.force_cwnd c 1e6;
+  state ();
+  ack 400 90;
+  loss 401;
+  loss 402;
+  state ();
+  take 420;
+  take 420;
+  List.rev_map (Printf.sprintf "%h") !out
+
+(* Recorded when Cubic and Monitor kept their floats in mixed int/float
+   records. [state ()] emits four values (cwnd, w_max, slow start,
+   monitor srtt), [take] nine. *)
+let cubic_monitor_golden =
+  [|
+    "0x1.4p+4"; "0x1.4p+3"; "0x1p+0"; "0x1.51a9baf1p+5";
+    "0x1.ep+4"; "0x1.4p+3"; "0x1p+0"; "0x1.5b0e5c422a666p+5";
+    "0x1.4p+5"; "0x1.4p+3"; "0x1p+0"; "0x1.557862f0ed86bp+5";
+    "0x1.2p+3"; "0x0p+0"; "0x1.76d09c54b657fp+1"; "0x1.ep+4";
+    "0x1.4p+5"; "0x1.557862f0ed86bp+5"; "0x1.4p+5"; "0x1.4p+5";
+    "0x1.027e36d9519dep+0"; "0x1.cp+4"; "0x1.4p+5"; "0x0p+0";
+    "0x1.557862f0ed86bp+5"; "0x1.cp+4"; "0x1.4p+5"; "0x0p+0";
+    "0x1.557862f0ed86bp+5"; "0x1.c34834a0f3ed3p+4"; "0x1.4p+5"; "0x0p+0";
+    "0x1.83f64d2763fadp+5"; "0x1.c69e80190206ap+4"; "0x1.4p+5"; "0x0p+0";
+    "0x1.8d9ad5ed161b4p+5"; "0x1.c9fb56871f838p+4"; "0x1.4p+5"; "0x0p+0";
+    "0x1.8e06a0d263353p+5"; "0x1.cd599cb2f7bd9p+4"; "0x1.4p+5"; "0x0p+0";
+    "0x1.8c8f98a38afd4p+5"; "0x1.d0b5dc7b6b5a2p+4"; "0x1.4p+5"; "0x0p+0";
+    "0x1.8b37855934a71p+5"; "0x1.d40dbc289a84p+4"; "0x1.4p+5"; "0x0p+0";
+    "0x1.8a9c22275d5cep+5"; "0x1.6276276276276p+2"; "0x1p+1"; "0x1.1f4e945d0638fp+3";
+    "0x1.ep+5"; "0x1.04p+7"; "0x1.8a9c22275d5cep+5"; "0x1.d40dbc289a84p+4";
+    "0x1.4p+5"; "0x1.d77a630ecf226p-1"; "0x1.1p+3"; "0x1.4p+5";
+    "0x1p+0"; "0x1.8a9c22275d5cep+5"; "0x1.c8p+4"; "0x1.4p+5";
+    "0x0p+0"; "0x1.53ad02349c48p+5"; "0x1.86ap+16"; "0x1.4p+5";
+    "0x0p+0"; "0x1.53ad02349c48p+5"; "0x1.117p+16"; "0x1.86ap+16";
+    "0x0p+0"; "0x1.833761ee08bfp+5"; "0x1.020c49ba5e354p+0"; "0x1p+1";
+    "0x1.3f1586aedf9d4p+2"; "0x1.5p+4"; "0x1.f4p+7"; "0x1.833761ee08bfp+5";
+    "0x1.117p+16"; "0x1.4p+5"; "0x1.2d28739c6b801p+0"; "0x0p+0";
+    "0x0p+0"; "0x0p+0"; "0x0p+0"; "0x1p+0";
+    "0x1.833761ee08bfp+5"; "0x1.117p+16"; "0x1.4p+5"; "0x1.273e2014e2c3cp+0";
+  |]
+
+let test_cubic_monitor_golden () =
+  let got = Array.of_list (cubic_monitor_trajectory ()) in
+  Alcotest.(check (array string)) "hex trajectory" cubic_monitor_golden got
+
 let suite =
   [
     ("delay norm definition", `Quick, test_delay_norm_definition);
@@ -352,6 +465,7 @@ let suite =
     ("monitor noise bounds", `Quick, test_monitor_noise_bounds);
     ("monitor noise disabled", `Quick, test_monitor_no_noise_factor_one);
     ("monitor rejects bad noise", `Quick, test_monitor_rejects_bad_noise);
+    ("cubic+monitor golden trajectory", `Quick, test_cubic_monitor_golden);
     ("reward tracks throughput", `Quick, test_reward_increases_with_throughput);
     ("reward punishes delay", `Quick, test_reward_decreases_with_delay);
     ("reward forgiveness band", `Quick, test_reward_forgiveness_band);
