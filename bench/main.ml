@@ -1635,8 +1635,11 @@ let fleet_bench () =
   in
   (* A full-episode trajectory fingerprint: per decision tick the bits
      of every flow's state row, action, reward and enforced window.
-     Anything the sim or the serving path computes differently shows up
-     here. *)
+     [fleet_trajectory] serves all flows as one N-flow fleet with one
+     batched GEMM per tick; [scalar_trajectory] steps one one-flow fleet
+     per flow (an [Agent_env] view each) with per-flow [Mlp.forward].
+     Anything the N-flow advancement or the batched serving path
+     computes differently from the one-flow path shows up here. *)
   let fleet_trajectory cfgs =
     let env = Fleet_env.create cfgs in
     let n = Fleet_env.flows env in
@@ -1686,9 +1689,10 @@ let fleet_bench () =
     done;
     List.rev !bits
   in
-  (* 6 flows, one with wireless-style impairments (loss + jitter +
-     reordering) so the per-flow PRNG stream, the jittered-return-path
-     resort and the reorder hold-back are all in the comparison. *)
+  (* N-flow fleet vs N one-flow fleets: 6 flows, one with
+     wireless-style impairments (loss + jitter + reordering) so the
+     per-flow PRNG stream, the jittered-return-path insert and the
+     reorder hold-back are all in the comparison. *)
   let probe_cfgs =
     Array.init 6 (fun i ->
         let impair =
@@ -1776,9 +1780,10 @@ let fleet_bench () =
           counts)
       sizes
   in
-  (* Scalar baseline at the smallest size: the same episodes driven one
-     [Agent_env] at a time with per-flow [Mlp.forward] inference — what
-     the fleet's batching replaces. *)
+  (* Scalar baseline at the smallest size: the same episodes as one-flow
+     fleets ([Agent_env] views) stepped one at a time with per-flow
+     [Mlp.forward] inference — what the N-flow fleet's batching
+     replaces. *)
   let base_n, base_dur = List.hd sizes in
   let scalar_wall =
     let cfgs = Array.init base_n (mk_cfg ~duration_ms:base_dur) in

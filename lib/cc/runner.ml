@@ -1,4 +1,5 @@
 module Env = Canopy_netsim.Env
+module Fleet = Canopy_netsim.Fleet
 module Stats = Canopy_util.Stats
 
 type metrics = {
@@ -51,7 +52,7 @@ let run ?series_bin_ms ?(impairments = Env.no_impairments) ~trace ~min_rtt_ms
       impairments;
     }
   in
-  let env = Env.create cfg in
+  let fleet = Fleet.create [| cfg |] in
   (* Per-bin series accumulators. *)
   let bin_ms = Option.value ~default:0 series_bin_ms in
   let nbins = if bin_ms > 0 then (duration_ms + bin_ms - 1) / bin_ms else 0 in
@@ -61,50 +62,56 @@ let run ?series_bin_ms ?(impairments = Env.no_impairments) ~trace ~min_rtt_ms
   let qd_sum = Array.make (max 1 nbins) 0. in
   let qd_cnt = Array.make (max 1 nbins) 0 in
   let bin_of ms = min (max 0 ((ms - 1) / bin_ms)) (nbins - 1) in
-  let series_handlers =
-    if bin_ms = 0 then Env.null_handlers
-    else
-      {
-        Env.on_ack =
-          (fun ack ->
+  (* Every ACK's RTT, for the p95 queueing delay and the mean RTT, and
+     its bin when a series is collected. *)
+  let rtt_samples = Canopy_util.Fbuf.create () in
+  let recorder =
+    {
+      Env.null_handlers with
+      on_ack =
+        (fun ack ->
+          Canopy_util.Fbuf.push rtt_samples (float_of_int ack.rtt_ms);
+          if bin_ms > 0 then begin
             let b = bin_of ack.now_ms in
             thr_bins.(b) <- thr_bins.(b) +. 1.;
             qd_sum.(b) <-
               qd_sum.(b) +. float_of_int (max 0 (ack.rtt_ms - min_rtt_ms));
-            qd_cnt.(b) <- qd_cnt.(b) + 1);
-        on_loss = (fun ~now_ms:_ -> ());
-      }
+            qd_cnt.(b) <- qd_cnt.(b) + 1
+          end);
+    }
   in
-  let handlers = Env.chain (Controller.handlers controller) series_handlers in
-  for ms = 1 to duration_ms do
-    Env.tick env handlers;
-    Env.set_cwnd env (controller.Controller.cwnd ());
+  let handlers = Env.chain (Controller.handlers controller) recorder in
+  (* After each millisecond the controller's window becomes the link's. *)
+  let ms = ref 0 in
+  let after_tick _ =
+    incr ms;
+    Fleet.set_cwnd fleet ~flow:0 (controller.Controller.cwnd ());
     if bin_ms > 0 then begin
-      let b = bin_of ms in
-      cwnd_bins.(b) <- Env.cwnd env;
+      let b = bin_of !ms in
+      cwnd_bins.(b) <- Fleet.cwnd fleet ~flow:0;
       cap_bins.(b) <-
-        cap_bins.(b) +. Canopy_trace.Trace.mbps_at trace (ms - 1)
+        cap_bins.(b) +. Canopy_trace.Trace.mbps_at trace (!ms - 1)
     end
-  done;
-  let st = Env.stats env in
-  let qdelays = Env.qdelay_array_ms env in
-  let rtts = Canopy_util.Fbuf.to_array st.rtt_samples in
+  in
+  Fleet.run ~after_tick fleet [| handlers |] ~ms:duration_ms;
+  let rtts = Canopy_util.Fbuf.to_array rtt_samples in
+  let qdelays =
+    let min_rtt = float_of_int min_rtt_ms in
+    Array.map (fun rtt -> Float.max 0. (rtt -. min_rtt)) rtts
+  in
   let metrics =
     {
       scheme = controller.Controller.name;
       trace = Canopy_trace.Trace.name trace;
-      utilization = Env.utilization env;
-      avg_throughput_mbps =
-        float_of_int st.delivered
-        *. float_of_int Env.default_mtu *. 8. /. 1e6
-        /. (float_of_int duration_ms /. 1000.);
+      utilization = Fleet.utilization fleet ~flow:0;
+      avg_throughput_mbps = Fleet.throughput_mbps fleet ~flow:0;
       avg_qdelay_ms = Stats.mean qdelays;
       p95_qdelay_ms =
         (if Array.length qdelays = 0 then 0. else Stats.percentile qdelays 95.);
       avg_rtt_ms = Stats.mean rtts;
-      loss_rate = Env.loss_rate env;
-      delivered_pkts = st.delivered;
-      dropped_pkts = st.dropped;
+      loss_rate = Fleet.loss_rate fleet ~flow:0;
+      delivered_pkts = Fleet.delivered fleet ~flow:0;
+      dropped_pkts = Fleet.dropped fleet ~flow:0;
     }
   in
   let series =

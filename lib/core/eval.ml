@@ -192,7 +192,7 @@ let eval_policy ?(name = "canopy") ?noise ?(engine = Certify.Batched)
       trace = Canopy_trace.Trace.name link.trace;
       utilization = Agent_env.utilization env;
       avg_thr_mbps =
-        float_of_int st.Canopy_netsim.Env.delivered
+        float_of_int st.Agent_env.delivered
         *. float_of_int Canopy_netsim.Env.default_mtu *. 8. /. 1e6
         /. (float_of_int link.duration_ms /. 1000.);
       avg_qdelay_ms = Stats.mean qdelays;

@@ -1,6 +1,8 @@
-(** Millisecond-granularity bottleneck-link emulator.
+(** The link model's shared vocabulary: per-link configuration, ACK and
+    loss feedback, and the handlers a congestion controller plugs in.
+    {!Fleet} simulates it; a single link is a one-flow fleet.
 
-    Reproduces the Mahimahi link model the paper evaluates on: a
+    The model is Mahimahi's, which the paper evaluates on: a
     trace-driven bottleneck where each millisecond offers a number of
     MTU-sized packet delivery opportunities (wasted when the queue is
     empty), a droptail FIFO buffer in front of it, and a fixed propagation
@@ -61,44 +63,3 @@ val default_mtu : int
 
 val bdp_pkts : mbps:float -> min_rtt_ms:int -> mtu_bytes:int -> int
 (** Bandwidth-delay product in packets, at least 1. *)
-
-type t
-
-val create : config -> t
-val config : t -> config
-val now_ms : t -> int
-
-val cwnd : t -> float
-val set_cwnd : t -> float -> unit
-(** Clamped below at 1 packet. *)
-
-val inflight : t -> int
-val queue_len : t -> int
-
-val tick : t -> handlers -> unit
-(** Advance the simulation by one millisecond: deliver due ACKs and loss
-    notifications (invoking the handlers), drain the bottleneck according
-    to the trace, then let the sender fill the window. *)
-
-val run : t -> handlers -> ms:int -> unit
-(** [tick] repeated [ms] times. *)
-
-(** Cumulative counters since creation. *)
-type stats = {
-  sent : int;
-  delivered : int;
-  dropped : int;
-  capacity_pkts : float;  (** delivery opportunities offered by the trace *)
-  rtt_samples : Canopy_util.Fbuf.t;  (** per-ACK RTT in ms *)
-}
-
-val stats : t -> stats
-val utilization : t -> float
-(** Delivered packets over offered capacity so far; 0 before any tick. *)
-
-val loss_rate : t -> float
-(** Dropped over sent; 0 before any send. *)
-
-val avg_qdelay_ms : t -> float
-val qdelay_array_ms : t -> float array
-(** Per-ACK queueing delay samples (RTT − minRTT). *)

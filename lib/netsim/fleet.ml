@@ -1,16 +1,12 @@
-(* Struct-of-arrays fleet of independent bottleneck links.
-
-   Each flow is an exact transliteration of [Env]: same state, same
-   tick order (process return path, sender fill, drain bottleneck), the
-   same float-operation order, and the same per-flow PRNG streams — a
-   fleet of N links reproduces N [Env]s bit-for-bit (see
-   test/test_fleet.ml). What changes is the layout and the driver: all
-   per-flow scalars live in flat arrays indexed by flow, the bottleneck
-   queue and the return path are per-flow int rings carved out of
-   per-flow arrays, and [run] advances every flow through a whole block
-   of milliseconds at once so the per-flow loop can be chunked over
-   [Canopy_util.Pool] (flows never share state, so parallel execution
-   is bit-identical to sequential by construction).
+(* Struct-of-arrays fleet of independent bottleneck links: the one
+   millisecond-tick implementation of the link model in [Env]. The tests
+   hold it to the per-packet reference simulator test/env_oracle.ml, bit
+   for bit. All per-flow scalars live in flat arrays indexed by flow,
+   the bottleneck queue and the return path are per-flow int rings
+   carved out of per-flow arrays, and [run] advances every flow through
+   a whole block of milliseconds at once so the per-flow loop can be
+   chunked over [Canopy_util.Pool] (flows never share state, so parallel
+   execution is bit-identical to sequential by construction).
 
    Trace lookups are hoisted: [run] precomputes one packets-per-ms table
    per trace family (links sharing a trace by physical equality) and
@@ -21,7 +17,7 @@ module Trace = Canopy_trace.Trace
 module Prng = Canopy_util.Prng
 module Pool = Canopy_util.Pool
 
-(* Return-path event kinds (Env.return_event flattened to ints). *)
+(* Return-path event kinds. *)
 let ev_ack = 0
 let ev_loss = 1
 
@@ -190,16 +186,16 @@ let ret_reserve t i extra =
     t.r_head.(i) <- 0
   end
 
-(* Mirror of [Env.schedule] on a return ring [ra]/[rk]/[rs]/[rm] of
-   capacity [cap] holding [len] events from [head], with room for one
-   more; returns the new watermark. The ring is always sorted by
-   arrival: an arrival at or past the watermark [last] is appended (the
-   O(1) jitter-free path), and an earlier one — possible only under
-   jitter or reordering — is inserted before the first event whose
-   arrival is ≥ its own, shifting the later events one slot towards the
-   tail. That is exactly where Env's "cons ahead of the FIFO contents,
-   then stable-sort by arrival" puts it, and, as in Env, the watermark
-   is left untouched. *)
+(* Schedule one event on a return ring [ra]/[rk]/[rs]/[rm] of capacity
+   [cap] holding [len] events from [head], with room for one more;
+   returns the new watermark. The ring is always sorted by arrival: an
+   arrival at or past the watermark [last] is appended (the O(1)
+   jitter-free path), and an earlier one — possible only under jitter
+   or reordering — is inserted before the first event whose arrival is
+   ≥ its own, shifting the later events one slot towards the tail, and
+   the watermark is left untouched. That is where the reference
+   simulator's "cons ahead of the FIFO contents, then stable-sort by
+   arrival" puts it. *)
 let ret_schedule (ra : int array) (rk : int array) (rs : int array)
     (rm : int array) ~cap ~head ~len ~last (arrival : int) kind seq sent_ms =
   let p = ref (wrap (head + len) cap) in
@@ -238,12 +234,12 @@ let schedule_losses t i ~arrival ~count =
   t.last_scheduled.(i) <- !last
 
 (* ------------------------------------------------------------------ *)
-(* One millisecond of one flow — the three phases of [Env.tick] *)
+(* One millisecond of one flow *)
 
 (* The ring arrays are read once per call. Everything a handler could
    observe, or that must survive a handler raising (the ring cursor,
    inflight, delivered, the queueing-delay sum), is stored before each
-   handler call, as in [Env]. *)
+   handler call. *)
 let process_return_path t (handlers : Env.handlers array) i ~now =
   let ra = t.r_arrival.(i) in
   let head = ref t.r_head.(i) and len = ref t.r_len.(i) in
@@ -264,8 +260,8 @@ let process_return_path t (handlers : Env.handlers array) i ~now =
         t.delivered.(i) <- delivered;
         let rtt = now - rm.(p) in
         (* Running queueing-delay sum in ack order: dividing by the
-           delivered count reproduces [Env.avg_qdelay_ms]'s
-           fold-over-samples bitwise. *)
+           delivered count equals a left fold over the per-ACK samples
+           divided by their count, bitwise. *)
         t.qdelay_sum_ms.(i) <-
           t.qdelay_sum_ms.(i) +. Float.max 0. (float_of_int rtt -. min_rtt);
         h.Env.on_ack { Env.now_ms = now; seq = rs.(p); rtt_ms = rtt; delivered }
@@ -276,8 +272,9 @@ let process_return_path t (handlers : Env.handlers array) i ~now =
 
 (* Fills the window in one step: the first [buffer - q_len] of the
    [window - inflight] new packets join the queue and the rest overflow
-   it, which is what [Env.sender_fill]'s per-packet loop does, since no
-   packet leaves the queue while the sender fills. *)
+   it (droptail), as a per-packet send loop would, since no packet
+   leaves the queue while the sender fills. The sender learns of each
+   overflow drop one minRTT later, approximating dup-ACK detection. *)
 let sender_fill t i ~now =
   let window = Int.max 1 (int_of_float (Float.floor t.cwnd.(i))) in
   let inflight = t.inflight.(i) in
@@ -340,8 +337,8 @@ let drain_bottleneck t i ~now ~tab ~k =
         let jitter =
           if jitter_ms = 0 then 0 else Prng.int rng (jitter_ms + 1)
         in
-        (* Same gated draw order as [Env.drain_bottleneck]: jitter, then
-           reordering — the per-flow PRNG streams stay aligned bitwise. *)
+        (* Gated draws, jitter then reordering: a flow without an
+           impairment consumes no PRNG draws for it. *)
         let reorder =
           if reorder_prob > 0. && Prng.float rng 1. < reorder_prob then
             reorder_ms
@@ -362,7 +359,8 @@ let drain_bottleneck t i ~now ~tab ~k =
 
 let tick_flow t handlers i ~now ~tab ~k =
   process_return_path t handlers i ~now;
-  (* Fill before draining (Mahimahi semantics), as in [Env.tick]. *)
+  (* Fill before draining (Mahimahi semantics): an uncongested path then
+     yields RTT = minRTT exactly. *)
   sender_fill t i ~now;
   drain_bottleneck t i ~now ~tab ~k
 
@@ -411,10 +409,8 @@ let run ?after_tick t handlers ~ms =
     t.now_ms <- now0 + ms
   end
 
-let tick ?after_tick t handlers = run ?after_tick t handlers ~ms:1
-
 (* ------------------------------------------------------------------ *)
-(* Per-flow metrics (matching Env's definitions bitwise) *)
+(* Per-flow metrics *)
 
 let utilization t ~flow =
   if t.capacity_pkts.(flow) <= 0. then 0.

@@ -1,13 +1,13 @@
-(** Struct-of-arrays fleet of independent bottleneck links.
+(** The link simulator: a struct-of-arrays fleet of independent
+    bottleneck links, and the one implementation of the {!Env} link
+    model's millisecond tick. A single link (an [Agent_env] episode, a
+    [Cc.Runner] baseline) is a one-flow fleet.
 
-    A fleet holds thousands of {!Env}-equivalent links in flat per-flow
-    arrays (cwnd/inflight/seq/delivered/dropped/credit plus ring-buffer
-    bottleneck queues and return paths) and advances all of them through
-    blocks of milliseconds at once. Per-flow stepping is an exact
-    transliteration of [Env.tick] — same phase order, same
-    float-operation order, same per-flow PRNG streams — so a fleet of N
-    links reproduces N scalar [Env]s bit-for-bit; the determinism tests
-    pin this.
+    A fleet holds its links in flat per-flow arrays (cwnd/inflight/seq/
+    delivered/dropped/credit plus ring-buffer bottleneck queues and
+    return paths) and advances all of them through blocks of
+    milliseconds at once. Flows never interact, so an N-flow fleet
+    reproduces N one-flow fleets bit-for-bit.
 
     Links sharing a trace (by physical equality, at equal MTU) form a
     trace family: [run] computes one packets-per-ms table per family and
@@ -20,9 +20,9 @@
 type t
 
 val create : Env.config array -> t
-(** One link per config, all starting at time 0 with empty queues. Same
-    per-link validation as [Env.create]. Raises [Invalid_argument] on an
-    empty array. *)
+(** One link per config, all starting at time 0 with empty queues.
+    Raises [Invalid_argument "Fleet.create: <field>"] on an invalid
+    link (see {!Env.config}) and on an empty array. *)
 
 val flows : t -> int
 val now_ms : t -> int
@@ -31,7 +31,7 @@ val config : t -> flow:int -> Env.config
 val cwnd : t -> flow:int -> float
 
 val set_cwnd : t -> flow:int -> float -> unit
-(** Clamped to at least 1, as [Env.set_cwnd]. *)
+(** Clamped to at least 1 packet. *)
 
 val inflight : t -> flow:int -> int
 val queue_len : t -> flow:int -> int
@@ -39,8 +39,8 @@ val queue_len : t -> flow:int -> int
 val run :
   ?after_tick:(int -> unit) -> t -> Env.handlers array -> ms:int -> unit
 (** [run t handlers ~ms] advances every flow by [ms] milliseconds;
-    [handlers.(i)] receives flow [i]'s ack/loss events exactly as the
-    corresponding [Env] would deliver them. [after_tick i] (if given)
+    [handlers.(i)] receives flow [i]'s ack/loss events in arrival order,
+    one [on_loss] call per lost packet. [after_tick i] (if given)
     runs after each of flow [i]'s milliseconds — the hook a congestion
     controller backbone uses to refresh the flow's cwnd mid-interval.
     Handlers and [after_tick] execute inside pool chunks and therefore
@@ -48,14 +48,9 @@ val run :
     accumulators); this is what keeps fleet stepping race-free and
     bit-identical at any domain count. *)
 
-val tick : ?after_tick:(int -> unit) -> t -> Env.handlers array -> unit
-(** [run ~ms:1]. *)
-
 (** {2 Per-flow counters and metrics}
 
-    Definitions match [Env]'s bitwise ([utilization], [loss_rate],
-    [avg_qdelay_ms] reproduce [Env.utilization] / [Env.loss_rate] /
-    [Env.avg_qdelay_ms] exactly on identical histories). *)
+    Cumulative since creation. *)
 
 val sent : t -> flow:int -> int
 val delivered : t -> flow:int -> int

@@ -1,26 +1,25 @@
-(** The Orca RL environment: a bottleneck link with a Cubic backbone whose
-    window a learned agent modulates at coarse monitoring steps.
-
-    Each {!step} applies the agent's action [a ∈ \[-1,1\]] through Eq. 1
+(** The Orca RL environment for one link, as a one-flow view of
+    {!Fleet_env}: a bottleneck link with a Cubic backbone whose window a
+    learned agent modulates at coarse monitoring steps. Each {!step}
+    applies the agent's action [a ∈ \[-1,1\]] through Eq. 1
     ([CWND = 2^{2a} · CWND_TCP]), enforces the resulting window for one
-    monitoring interval while Cubic keeps performing fine-grained control
-    inside it, and returns the next agent state (the concatenated feature
-    frames of the past [history] observations) together with the raw
-    reward. *)
+    monitoring interval while Cubic keeps performing fine-grained
+    control inside it, and returns the next agent state (the
+    concatenated feature frames of the past [history] observations)
+    together with the raw reward. *)
 
-type config = {
+type config = Fleet_env.config = {
   trace : Canopy_trace.Trace.t;
   min_rtt_ms : int;
   buffer_pkts : int;
-  duration_ms : int;  (** episode length *)
-  history : int;  (** k past observation frames in the state *)
-  interval_ms : int option;  (** monitoring period; default max(20, minRTT) *)
+  duration_ms : int;
+  history : int;
+  interval_ms : int option;
   delay_noise : (Canopy_util.Prng.t * float) option;
-      (** multiplicative noise on the observed queueing delay *)
   impairments : Canopy_netsim.Env.impairments;
-      (** link pathologies (random loss, ACK jitter) *)
   reward : Reward.config;
 }
+(** See {!Fleet_env.config}. *)
 
 val default_config :
   trace:Canopy_trace.Trace.t ->
@@ -28,7 +27,7 @@ val default_config :
   buffer_pkts:int ->
   duration_ms:int ->
   config
-(** history = 5, automatic interval, no noise, default reward. *)
+(** {!Fleet_env.default_config}. *)
 
 val state_dim : config -> int
 (** [history × Observation.feature_count]. *)
@@ -58,9 +57,7 @@ val step : t -> action:float -> step_result
     episode already finished. *)
 
 val cwnd_of_action : action:float -> cwnd_tcp:float -> float
-(** Eq. 1 with the simulator's window clamp: monotone in [action] for a
-    fixed suggestion, which is what lets the verifier propagate action
-    intervals through it exactly. *)
+(** Eq. 1 with the window clamp: {!Fleet_env.cwnd_of_action}. *)
 
 val min_enforced : float
 val max_enforced : float
@@ -77,7 +74,16 @@ val cwnd_tcp : t -> float
 val state : t -> float array
 (** Current agent state without advancing the environment. *)
 
-val env_stats : t -> Canopy_netsim.Env.stats
+(** Cumulative link counters since the last reset. *)
+type stats = {
+  sent : int;
+  delivered : int;
+  dropped : int;
+  capacity_pkts : float;  (** delivery opportunities offered by the trace *)
+  rtt_samples : Canopy_util.Fbuf.t;  (** per-ACK RTT in ms *)
+}
+
+val env_stats : t -> stats
 val utilization : t -> float
 val avg_qdelay_ms : t -> float
 val qdelay_array_ms : t -> float array

@@ -1,8 +1,11 @@
-(* Tests for the vectorized fleet simulator and its serving stack:
-   bit-for-bit equivalence of [Fleet] with per-flow [Env] instances and
-   of [Fleet_env] with per-flow [Agent_env] episodes, determinism of the
-   pool-parallel advancement across domain counts, and the mixed
-   Canopy-vs-TCP coexistence harness. *)
+(* Tests for the fleet simulator and its serving stack: bit-for-bit
+   equivalence of [Fleet] with the per-packet reference simulator
+   [Env_oracle] and of [Fleet_env] (and its one-flow view [Agent_env])
+   with the reference episode loop [Agent_env_oracle], randomized
+   properties of the fleet (conservation, queue bound, monotone
+   counters, flow independence), determinism of the pool-parallel
+   advancement across domain counts, and the mixed Canopy-vs-TCP
+   coexistence harness. *)
 
 module Env = Canopy_netsim.Env
 module Fleet = Canopy_netsim.Fleet
@@ -56,9 +59,49 @@ let link_cfg ?(impair = Env.no_impairments) ?(min_rtt = 40) ~duration_ms i =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Fleet vs per-flow Env, bit for bit *)
+(* Fleet vs per-flow reference simulator, bit for bit *)
 
-(* Drive N scalar [Env]s and one N-flow [Fleet] through the same cwnd
+(* Every observable of a link — counters, queue, window, metrics — as
+   named int64s (floats by their bits), so two links compare to the
+   bit. *)
+let oracle_observables env =
+  let s = Env_oracle.stats env and i = Int64.of_int in
+  let f = Int64.bits_of_float in
+  [
+    ("sent", i s.Env_oracle.sent);
+    ("delivered", i s.Env_oracle.delivered);
+    ("dropped", i s.Env_oracle.dropped);
+    ("inflight", i (Env_oracle.inflight env));
+    ("queue", i (Env_oracle.queue_len env));
+    ("capacity", f s.Env_oracle.capacity_pkts);
+    ("cwnd", f (Env_oracle.cwnd env));
+    ("utilization", f (Env_oracle.utilization env));
+    ("loss rate", f (Env_oracle.loss_rate env));
+    ("avg qdelay", f (Env_oracle.avg_qdelay_ms env));
+  ]
+
+let fleet_observables fleet ~flow =
+  let i = Int64.of_int and f = Int64.bits_of_float in
+  [
+    ("sent", i (Fleet.sent fleet ~flow));
+    ("delivered", i (Fleet.delivered fleet ~flow));
+    ("dropped", i (Fleet.dropped fleet ~flow));
+    ("inflight", i (Fleet.inflight fleet ~flow));
+    ("queue", i (Fleet.queue_len fleet ~flow));
+    ("capacity", f (Fleet.capacity_pkts fleet ~flow));
+    ("cwnd", f (Fleet.cwnd fleet ~flow));
+    ("utilization", f (Fleet.utilization fleet ~flow));
+    ("loss rate", f (Fleet.loss_rate fleet ~flow));
+    ("avg qdelay", f (Fleet.avg_qdelay_ms fleet ~flow));
+  ]
+
+(* First observable that differs between two links. *)
+let mismatch a b =
+  List.find_map
+    (fun ((name, x), (_, y)) -> if Int64.equal x y then None else Some name)
+    (List.combine a b)
+
+(* Drive N [Env_oracle] links and one N-flow [Fleet] through the same cwnd
    schedule, recording every ack and loss event, and require identical
    event streams and identical (to the bit) counters. One flow carries
    random loss + ACK jitter + reordering so the per-flow PRNG, the
@@ -91,12 +134,12 @@ let test_fleet_matches_env () =
     (acks, losses, handlers)
   in
   let schedule i seg = 4. +. float_of_int (((i * 7) + (seg * 13)) mod 40) in
-  (* Scalar reference. *)
-  let envs = Array.map Env.create cfgs in
+  (* Per-packet reference. *)
+  let envs = Array.map Env_oracle.create cfgs in
   let e_acks, e_losses, e_handlers = record () in
   for seg = 0 to 7 do
-    Array.iteri (fun i env -> Env.set_cwnd env (schedule i seg)) envs;
-    Array.iteri (fun i env -> Env.run env e_handlers.(i) ~ms:50) envs
+    Array.iteri (fun i env -> Env_oracle.set_cwnd env (schedule i seg)) envs;
+    Array.iteri (fun i env -> Env_oracle.run env e_handlers.(i) ~ms:50) envs
   done;
   (* Fleet under the same schedule. *)
   let fleet = Fleet.create cfgs in
@@ -107,38 +150,21 @@ let test_fleet_matches_env () =
     done;
     Fleet.run fleet f_handlers ~ms:50
   done;
-  check_int "now" (Env.now_ms envs.(0)) (Fleet.now_ms fleet);
+  check_int "now" (Env_oracle.now_ms envs.(0)) (Fleet.now_ms fleet);
   for i = 0 to n - 1 do
     let tag fmt = Printf.sprintf ("flow %d: " ^^ fmt) i in
     check_bool (tag "ack stream") true (e_acks.(i) = f_acks.(i));
     check_bool (tag "loss stream") true (e_losses.(i) = f_losses.(i));
-    let s = Env.stats envs.(i) in
-    check_int (tag "sent") s.Env.sent (Fleet.sent fleet ~flow:i);
-    check_int (tag "delivered") s.Env.delivered (Fleet.delivered fleet ~flow:i);
-    check_int (tag "dropped") s.Env.dropped (Fleet.dropped fleet ~flow:i);
-    check_bool (tag "capacity bits") true
-      (Int64.bits_of_float s.Env.capacity_pkts
-      = Int64.bits_of_float (Fleet.capacity_pkts fleet ~flow:i));
-    check_bool (tag "cwnd bits") true
-      (Int64.bits_of_float (Env.cwnd envs.(i))
-      = Int64.bits_of_float (Fleet.cwnd fleet ~flow:i));
-    check_int (tag "inflight") (Env.inflight envs.(i))
-      (Fleet.inflight fleet ~flow:i);
-    check_int (tag "queue") (Env.queue_len envs.(i))
-      (Fleet.queue_len fleet ~flow:i);
-    check_bool (tag "utilization bits") true
-      (Int64.bits_of_float (Env.utilization envs.(i))
-      = Int64.bits_of_float (Fleet.utilization fleet ~flow:i));
-    check_bool (tag "loss rate bits") true
-      (Int64.bits_of_float (Env.loss_rate envs.(i))
-      = Int64.bits_of_float (Fleet.loss_rate fleet ~flow:i));
-    check_bool (tag "avg qdelay bits") true
-      (Int64.bits_of_float (Env.avg_qdelay_ms envs.(i))
-      = Int64.bits_of_float (Fleet.avg_qdelay_ms fleet ~flow:i))
+    match
+      mismatch (oracle_observables envs.(i)) (fleet_observables fleet ~flow:i)
+    with
+    | Some what -> Alcotest.failf "flow %d: %s bits differ" i what
+    | None -> ()
   done
 
 (* ------------------------------------------------------------------ *)
-(* Fleet vs per-flow Env over random configurations *)
+(* Fleet vs per-flow reference simulator over random configurations,
+   and properties of the fleet alone *)
 
 (* Flows pick one of these physically shared traces, so the trace-family
    dedup is exercised; rates from a fraction of a packet to several
@@ -216,88 +242,199 @@ let recording_handlers n =
           on_loss = (fun ~now_ms -> events.(i) <- Loss now_ms :: events.(i));
         }) )
 
-(* First counter or metric of flow [i] that differs between the scalar
-   [Env] and the fleet, compared to the bit. *)
-let flow_mismatch env fleet i =
-  let s = Env.stats env in
-  let fbits a b = Int64.bits_of_float a = Int64.bits_of_float b in
-  List.find_map
-    (fun (name, same) -> if same then None else Some name)
-    [
-      ("sent", s.Env.sent = Fleet.sent fleet ~flow:i);
-      ("delivered", s.Env.delivered = Fleet.delivered fleet ~flow:i);
-      ("dropped", s.Env.dropped = Fleet.dropped fleet ~flow:i);
-      ("inflight", Env.inflight env = Fleet.inflight fleet ~flow:i);
-      ("queue", Env.queue_len env = Fleet.queue_len fleet ~flow:i);
-      ("capacity", fbits s.Env.capacity_pkts (Fleet.capacity_pkts fleet ~flow:i));
-      ("cwnd", fbits (Env.cwnd env) (Fleet.cwnd fleet ~flow:i));
-      ("utilization", fbits (Env.utilization env) (Fleet.utilization fleet ~flow:i));
-      ("loss rate", fbits (Env.loss_rate env) (Fleet.loss_rate fleet ~flow:i));
-      ("avg qdelay", fbits (Env.avg_qdelay_ms env) (Fleet.avg_qdelay_ms fleet ~flow:i));
-    ]
+(* N links driven one way: set flow [i]'s window, advance every flow
+   [ms] milliseconds with one handlers record per flow, read flow [i]'s
+   observables. *)
+type links = {
+  set_cwnd : int -> float -> unit;
+  advance : Env.handlers array -> ms:int -> unit;
+  observe : int -> (string * int64) list;
+}
 
-(* [Env] reschedules an out-of-order event by rebuilding and sorting its
-   whole return path, so under jitter or reordering its cost grows with
-   the square of the packets in flight; those flows keep windows of at
-   most [jittered_window_cap] so the oracle stays fast. *)
+let fleet_links fleet =
+  {
+    set_cwnd = (fun i w -> Fleet.set_cwnd fleet ~flow:i w);
+    advance = (fun handlers ~ms -> Fleet.run fleet handlers ~ms);
+    observe = (fun i -> fleet_observables fleet ~flow:i);
+  }
+
+let oracle_links envs =
+  {
+    set_cwnd = (fun i w -> Env_oracle.set_cwnd envs.(i) w);
+    advance =
+      (fun handlers ~ms ->
+        Array.iteri (fun i env -> Env_oracle.run env handlers.(i) ~ms) envs);
+    observe = (fun i -> oracle_observables envs.(i));
+  }
+
+(* One one-flow fleet per link. *)
+let solo_links solos =
+  {
+    set_cwnd = (fun i w -> Fleet.set_cwnd solos.(i) ~flow:0 w);
+    advance =
+      (fun handlers ~ms ->
+        Array.iteri (fun i solo -> Fleet.run solo [| handlers.(i) |] ~ms) solos);
+    observe = (fun i -> fleet_observables solos.(i) ~flow:0);
+  }
+
+(* Segment [windows] give flow [i] the window [List.nth windows (i mod
+   length)]. *)
+let segment_window windows i =
+  match windows with
+  | [] -> 1
+  | _ -> List.nth windows (i mod List.length windows)
+
+(* Each segment sets every flow's window ([window i w]) on both sides
+   and advances both, then requires identical per-flow event streams
+   for the segment and identical observables after it. *)
+let same_trajectories ~window ~n segments (a : links) (b : links) =
+  let a_events, a_handlers = recording_handlers n in
+  let b_events, b_handlers = recording_handlers n in
+  List.iteri
+    (fun seg (ms, windows) ->
+      for i = 0 to n - 1 do
+        let w = float_of_int (window i (segment_window windows i)) in
+        a.set_cwnd i w;
+        b.set_cwnd i w;
+        a_events.(i) <- [];
+        b_events.(i) <- []
+      done;
+      a.advance a_handlers ~ms;
+      b.advance b_handlers ~ms;
+      for i = 0 to n - 1 do
+        if a_events.(i) <> b_events.(i) then
+          QCheck.Test.fail_reportf "segment %d, flow %d: event stream" seg i;
+        match mismatch (a.observe i) (b.observe i) with
+        | Some what ->
+            QCheck.Test.fail_reportf "segment %d, flow %d: %s" seg i what
+        | None -> ()
+      done)
+    segments;
+  true
+
+(* An out-of-order event (ACK jitter or reordering) costs both
+   simulators time that grows with the packets in flight: [Env_oracle]
+   rebuilds and sorts its whole return path, and the fleet shifts every
+   later event one slot — including, behind a jittered ACK, each of a
+   millisecond's overflow-drop notices. Flows with jitter or reordering
+   therefore keep windows of at most [jittered_window_cap], so a
+   150-case property runs in seconds rather than minutes. *)
 let jittered_window_cap = 512
 
-(* Each segment sets every flow's window on both sides, advances the
-   scalar envs and the fleet (one [Fleet.run] over the whole segment),
-   then requires identical per-flow event streams for the segment and
-   identical counters after it. *)
+let window_of (cfgs : Env.config array) i w =
+  let imp = cfgs.(i).impairments in
+  if imp.ack_jitter_ms > 0 || imp.reorder_prob > 0. then
+    Int.min w jittered_window_cap
+  else w
+
+(* The fleet against one per-packet oracle per flow; one [Fleet.run]
+   covers each whole segment. *)
 let fleet_matches_envs (flows, segments) =
   match flows with
   | [] -> true
   | _ ->
       let cfgs = Array.of_list (List.map env_config flows) in
+      same_trajectories ~window:(window_of cfgs) ~n:(Array.length cfgs)
+        segments
+        (oracle_links (Array.map Env_oracle.create cfgs))
+        (fleet_links (Fleet.create cfgs))
+
+(* Flows never interact: an N-flow fleet is N one-flow fleets. *)
+let fleet_matches_solo_fleets (flows, segments) =
+  match flows with
+  | [] -> true
+  | _ ->
+      let cfgs = Array.of_list (List.map env_config flows) in
+      same_trajectories ~window:(window_of cfgs) ~n:(Array.length cfgs)
+        segments
+        (solo_links (Array.map (fun c -> Fleet.create [| c |]) cfgs))
+        (fleet_links (Fleet.create cfgs))
+
+(* Drives a random fleet through the random window schedule (capped as
+   above) and runs [check fleet ~losses i] after each of flow [i]'s
+   milliseconds, where [losses.(i)] counts the loss notifications flow
+   [i] has received. *)
+let fleet_invariant check (flows, segments) =
+  match flows with
+  | [] -> true
+  | _ ->
+      let cfgs = Array.of_list (List.map env_config flows) in
       let n = Array.length cfgs in
-      let envs = Array.map Env.create cfgs and fleet = Fleet.create cfgs in
-      let e_events, e_handlers = recording_handlers n in
-      let f_events, f_handlers = recording_handlers n in
-      List.iteri
-        (fun seg (ms, windows) ->
-          let windows = Array.of_list windows in
+      let fleet = Fleet.create cfgs and losses = Array.make n 0 in
+      let handlers =
+        Array.init n (fun i ->
+            {
+              Env.on_ack = ignore;
+              on_loss = (fun ~now_ms:_ -> losses.(i) <- losses.(i) + 1);
+            })
+      in
+      let after_tick = check fleet ~losses in
+      List.iter
+        (fun (ms, windows) ->
           for i = 0 to n - 1 do
-            let w =
-              if Array.length windows = 0 then 1
-              else windows.(i mod Array.length windows)
-            in
-            let imp = cfgs.(i).Env.impairments in
-            let w =
-              float_of_int
-                (if imp.Env.ack_jitter_ms > 0 || imp.Env.reorder_prob > 0. then
-                   min w jittered_window_cap
-                 else w)
-            in
-            Env.set_cwnd envs.(i) w;
-            Fleet.set_cwnd fleet ~flow:i w;
-            e_events.(i) <- [];
-            f_events.(i) <- []
+            Fleet.set_cwnd fleet ~flow:i
+              (float_of_int (window_of cfgs i (segment_window windows i)))
           done;
-          Array.iteri (fun i env -> Env.run env e_handlers.(i) ~ms) envs;
-          Fleet.run fleet f_handlers ~ms;
-          for i = 0 to n - 1 do
-            if e_events.(i) <> f_events.(i) then
-              QCheck.Test.fail_reportf "segment %d, flow %d: event stream" seg i;
-            match flow_mismatch envs.(i) fleet i with
-            | Some what ->
-                QCheck.Test.fail_reportf "segment %d, flow %d: %s" seg i what
-            | None -> ()
-          done)
+          Fleet.run ~after_tick fleet handlers ~ms)
         segments;
       true
+
+(* Every packet sent is delivered, announced lost, or still in flight
+   (queued, or its ACK or loss notice on the return path). *)
+let conserves_packets fleet ~losses i =
+  let sent = Fleet.sent fleet ~flow:i in
+  let delivered = Fleet.delivered fleet ~flow:i in
+  let inflight = Fleet.inflight fleet ~flow:i in
+  if sent <> delivered + losses.(i) + inflight then
+    QCheck.Test.fail_reportf
+      "flow %d: sent %d <> delivered %d + loss notices %d + inflight %d" i
+      sent delivered losses.(i) inflight
+
+let queue_within_buffer fleet ~losses:_ i =
+  let q = Fleet.queue_len fleet ~flow:i in
+  let buffer = (Fleet.config fleet ~flow:i).Env.buffer_pkts in
+  if q < 0 || q > buffer then
+    QCheck.Test.fail_reportf "flow %d: queue %d outside [0, %d]" i q buffer
+
+(* [sent], [delivered] and [dropped] never decrease. The closure keeps
+   each flow's previous readings. *)
+let counters_monotone fleet ~losses:_ =
+  let n = Fleet.flows fleet in
+  let prev = Array.make (3 * n) 0 in
+  fun i ->
+    List.iteri
+      (fun k (name, get) ->
+        let v = get fleet ~flow:i in
+        if v < prev.((3 * i) + k) then
+          QCheck.Test.fail_reportf "flow %d: %s fell from %d to %d" i name
+            prev.((3 * i) + k) v;
+        prev.((3 * i) + k) <- v)
+      [ ("sent", Fleet.sent); ("delivered", Fleet.delivered);
+        ("dropped", Fleet.dropped) ]
+
+let arb_fleet = QCheck.(pair (list_of_size Gen.(1 -- 6) arb_flow) arb_segments)
 
 let qcheck_fleet =
   [
     QCheck.Test.make ~name:"fleet == per-flow Env on random configs (bits)"
-      ~count:150
-      QCheck.(pair (list_of_size Gen.(1 -- 6) arb_flow) arb_segments)
-      fleet_matches_envs;
+      ~count:150 arb_fleet fleet_matches_envs;
+  ]
+
+(* Properties of the fleet alone, over the same generators. *)
+let qcheck_fleet_properties =
+  [
+    QCheck.Test.make ~name:"fleet(n) == n x fleet(1) (bits)" ~count:150
+      arb_fleet fleet_matches_solo_fleets;
+    QCheck.Test.make ~name:"fleet conserves packets" ~count:150 arb_fleet
+      (fleet_invariant conserves_packets);
+    QCheck.Test.make ~name:"fleet queue within buffer" ~count:150 arb_fleet
+      (fleet_invariant queue_within_buffer);
+    QCheck.Test.make ~name:"fleet counters monotone" ~count:150 arb_fleet
+      (fleet_invariant counters_monotone);
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Fleet_env vs per-flow Agent_env, bit for bit *)
+(* Fleet_env and Agent_env vs the reference episode loop, bit for bit *)
 
 let agent_cfg ?(impair = Env.no_impairments) ~duration_ms i =
   let mbps = 16. +. (8. *. float_of_int (i mod 3)) in
@@ -312,6 +449,11 @@ let agent_cfg ?(impair = Env.no_impairments) ~duration_ms i =
     impairments = impair;
   }
 
+(* The reference loop drives N one-flow episodes; [Fleet_env] serves
+   the same N flows as one fleet, and one [Agent_env] view per flow
+   steps them one at a time. Every state, reward and window must agree
+   to the bit at every step, and each view's observation, feature frame
+   and link metrics must match the reference episode's. *)
 let test_fleet_env_matches_agent_env () =
   let n = 4 in
   let cfgs =
@@ -327,19 +469,28 @@ let test_fleet_env_matches_agent_env () =
       ~hidden:16 ~out_dim:1
   in
   let fenv = Fleet_env.create cfgs in
-  let envs = Array.map Agent_env.create cfgs in
+  let envs = Array.map Agent_env_oracle.create cfgs in
+  let views = Array.map Agent_env.create cfgs in
   let x = Mat.create ~rows:n ~cols:(Fleet_env.state_dim fenv) in
   let y = Mat.create_uninit ~rows:n ~cols:1 in
   let actions = Array.make n 0. in
   let step = ref 0 in
   let fin = ref false in
+  let fbits a b = Int64.bits_of_float a = Int64.bits_of_float b in
   while not !fin do
     Fleet_env.write_states fenv ~dst:x;
     for i = 0 to n - 1 do
-      check_bool
-        (Printf.sprintf "step %d flow %d: state bits" !step i)
-        true
-        (bits (Mat.row x i) = bits (Agent_env.state envs.(i)))
+      let want = bits (Agent_env_oracle.state envs.(i)) in
+      let tag what = Printf.sprintf "step %d flow %d: %s bits" !step i what in
+      check_bool (tag "state") true (bits (Mat.row x i) = want);
+      check_bool (tag "view state") true (bits (Agent_env.state views.(i)) = want);
+      check_bool (tag "view cwnd_tcp") true
+        (fbits (Agent_env.cwnd_tcp views.(i))
+           (Agent_env_oracle.cwnd_tcp envs.(i)));
+      check_bool (tag "view prev cwnd") true
+        (fbits
+           (Agent_env.prev_cwnd_enforced views.(i))
+           (Agent_env_oracle.prev_cwnd_enforced envs.(i)))
     done;
     Mlp.forward_eval_into ~dst:y actor x;
     for i = 0 to n - 1 do
@@ -347,26 +498,78 @@ let test_fleet_env_matches_agent_env () =
     done;
     let fr = Fleet_env.step fenv ~actions in
     let srs =
-      Array.mapi (fun i env -> Agent_env.step env ~action:actions.(i)) envs
+      Array.mapi
+        (fun i env -> Agent_env_oracle.step env ~action:actions.(i))
+        envs
     in
+    let vrs = Array.mapi (fun i v -> Agent_env.step v ~action:actions.(i)) views in
     let tag what = Printf.sprintf "step %d: %s bits" !step what in
-    check_bool (tag "reward") true
-      (bits fr.Fleet_env.rewards
-      = bits (Array.map (fun (r : Agent_env.step_result) -> r.raw_reward) srs));
-    check_bool (tag "cwnd_tcp") true
-      (bits fr.Fleet_env.cwnd_tcp
-      = bits (Array.map (fun (r : Agent_env.step_result) -> r.cwnd_tcp) srs));
+    let oracle f = Array.map f srs and view f = Array.map f vrs in
+    let o_reward = oracle (fun (r : Agent_env_oracle.step_result) -> r.raw_reward)
+    and o_tcp = oracle (fun (r : Agent_env_oracle.step_result) -> r.cwnd_tcp)
+    and o_enforced =
+      oracle (fun (r : Agent_env_oracle.step_result) -> r.cwnd_enforced)
+    in
+    check_bool (tag "reward") true (bits fr.Fleet_env.rewards = bits o_reward);
+    check_bool (tag "cwnd_tcp") true (bits fr.Fleet_env.cwnd_tcp = bits o_tcp);
     check_bool (tag "cwnd_enforced") true
-      (bits fr.Fleet_env.cwnd_enforced
-      = bits
-          (Array.map
-             (fun (r : Agent_env.step_result) -> r.cwnd_enforced)
-             srs));
+      (bits fr.Fleet_env.cwnd_enforced = bits o_enforced);
+    check_bool (tag "view reward") true
+      (bits (view (fun (r : Agent_env.step_result) -> r.raw_reward))
+      = bits o_reward);
+    check_bool (tag "view cwnd_tcp") true
+      (bits (view (fun (r : Agent_env.step_result) -> r.cwnd_tcp)) = bits o_tcp);
+    check_bool (tag "view cwnd_enforced") true
+      (bits (view (fun (r : Agent_env.step_result) -> r.cwnd_enforced))
+      = bits o_enforced);
+    for i = 0 to n - 1 do
+      let s = srs.(i) and v = vrs.(i) in
+      check_bool (tag "view next state") true
+        (bits v.Agent_env.state = bits s.Agent_env_oracle.state);
+      check_bool (tag "view features") true
+        (bits v.Agent_env.features = bits s.Agent_env_oracle.features);
+      check_bool (tag "view observation") true
+        (v.Agent_env.observation = s.Agent_env_oracle.observation);
+      check_bool "view finished agrees" true
+        (v.Agent_env.finished = s.Agent_env_oracle.finished)
+    done;
     check_bool "finished agrees" true
-      (fr.Fleet_env.finished = srs.(n - 1).Agent_env.finished);
+      (fr.Fleet_env.finished = srs.(n - 1).Agent_env_oracle.finished);
     fin := fr.Fleet_env.finished;
     incr step
   done;
+  Array.iteri
+    (fun i v ->
+      let e = envs.(i) in
+      let tag what = Printf.sprintf "flow %d: view %s bits" i what in
+      let s = Agent_env.env_stats v and o = Agent_env_oracle.env_stats e in
+      check_bool (tag "counters") true
+        ((s.sent, s.delivered, s.dropped)
+        = (o.Env_oracle.sent, o.Env_oracle.delivered, o.Env_oracle.dropped));
+      check_bool (tag "capacity") true
+        (fbits s.capacity_pkts o.Env_oracle.capacity_pkts);
+      check_bool (tag "rtt samples") true
+        (bits (Canopy_util.Fbuf.to_array s.rtt_samples)
+        = bits (Canopy_util.Fbuf.to_array o.Env_oracle.rtt_samples));
+      check_bool (tag "qdelays") true
+        (bits (Agent_env.qdelay_array_ms v)
+        = bits (Agent_env_oracle.qdelay_array_ms e));
+      check_bool (tag "metrics") true
+        (bits
+           [|
+             Agent_env.utilization v;
+             Agent_env.loss_rate v;
+             Agent_env.avg_qdelay_ms v;
+             Agent_env.thr_scale_mbps v;
+           |]
+        = bits
+            [|
+              Agent_env_oracle.utilization e;
+              Agent_env_oracle.loss_rate e;
+              Agent_env_oracle.avg_qdelay_ms e;
+              Agent_env_oracle.thr_scale_mbps e;
+            |]))
+    views;
   check_int "decision steps" (600 / 40) !step
 
 (* ------------------------------------------------------------------ *)
@@ -724,3 +927,4 @@ let suite =
       test_fleet_serve_alloc_gate;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_fleet
+  @ List.map QCheck_alcotest.to_alcotest qcheck_fleet_properties

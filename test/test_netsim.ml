@@ -1,18 +1,47 @@
-(* Tests for canopy_netsim: the Mahimahi-style link emulator. These pin
-   down the physical invariants the congestion controllers rely on:
-   RTT = minRTT + queueing delay, droptail loss, delivery bounded by
-   trace capacity, and ACK-clocked conservation of packets. *)
+(* Tests for canopy_netsim: the Mahimahi-style link emulator, driven as
+   a one-flow [Fleet]. These pin down the physical invariants the
+   congestion controllers rely on: RTT = minRTT + queueing delay,
+   droptail loss, delivery bounded by trace capacity, and ACK-clocked
+   conservation of packets. *)
 
 module Env = Canopy_netsim.Env
+module Fleet = Canopy_netsim.Fleet
 module Trace = Canopy_trace.Trace
+module Fbuf = Canopy_util.Fbuf
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* A one-flow fleet and the per-ACK RTT samples recorded by [run]. *)
+type link = { fleet : Fleet.t; rtts : Fbuf.t }
+
+let create cfg = { fleet = Fleet.create [| cfg |]; rtts = Fbuf.create () }
+
+let run ?(handlers = Env.null_handlers) env ~ms =
+  let record =
+    {
+      Env.on_ack = (fun ack -> Fbuf.push env.rtts (float_of_int ack.Env.rtt_ms));
+      on_loss = (fun ~now_ms:_ -> ());
+    }
+  in
+  Fleet.run env.fleet [| Env.chain record handlers |] ~ms
+
+let rtt_samples env = Fbuf.to_array env.rtts
+let sent env = Fleet.sent env.fleet ~flow:0
+let delivered env = Fleet.delivered env.fleet ~flow:0
+let dropped env = Fleet.dropped env.fleet ~flow:0
+let capacity_pkts env = Fleet.capacity_pkts env.fleet ~flow:0
+let inflight env = Fleet.inflight env.fleet ~flow:0
+let cwnd env = Fleet.cwnd env.fleet ~flow:0
+let set_cwnd env w = Fleet.set_cwnd env.fleet ~flow:0 w
+let utilization env = Fleet.utilization env.fleet ~flow:0
+let loss_rate env = Fleet.loss_rate env.fleet ~flow:0
+let avg_qdelay_ms env = Fleet.avg_qdelay_ms env.fleet ~flow:0
+
 let make_env ?(mbps = 12.) ?(duration = 10_000) ?(min_rtt = 20)
     ?(buffer = 100) ?(cwnd = 10.) () =
-  Env.create
+  create
     {
       Env.trace = Trace.constant ~name:"c" ~duration_ms:duration ~mbps;
       min_rtt_ms = min_rtt;
@@ -29,13 +58,13 @@ let test_bdp_pkts () =
 
 let test_config_validation () =
   let bad f = Alcotest.check_raises "rejects" (Invalid_argument f) in
-  bad "Env.create: min_rtt_ms" (fun () ->
-      ignore (Env.create
+  bad "Fleet.create: min_rtt_ms" (fun () ->
+      ignore (create
         { Env.trace = Trace.constant ~name:"c" ~duration_ms:10 ~mbps:1.;
           min_rtt_ms = 1; buffer_pkts = 1; mtu_bytes = 1500;
           initial_cwnd = 2.; impairments = Env.no_impairments }));
-  bad "Env.create: buffer_pkts" (fun () ->
-      ignore (Env.create
+  bad "Fleet.create: buffer_pkts" (fun () ->
+      ignore (create
         { Env.trace = Trace.constant ~name:"c" ~duration_ms:10 ~mbps:1.;
           min_rtt_ms = 10; buffer_pkts = 0; mtu_bytes = 1500;
           initial_cwnd = 2.; impairments = Env.no_impairments }))
@@ -43,11 +72,11 @@ let test_config_validation () =
 let test_rtt_equals_min_rtt_when_uncongested () =
   (* cwnd far below BDP: queue stays empty, every RTT is exactly minRTT. *)
   let env = make_env ~mbps:48. ~min_rtt:30 ~cwnd:4. () in
-  Env.run env Env.null_handlers ~ms:2000;
-  let rtts = Canopy_util.Fbuf.to_array (Env.stats env).Env.rtt_samples in
+  run env ~ms:2000;
+  let rtts = rtt_samples env in
   check_bool "has acks" true (Array.length rtts > 0);
   Array.iter (fun r -> check_float "rtt = minRTT" 30. r) rtts;
-  check_float "no queueing delay" 0. (Env.avg_qdelay_ms env)
+  check_float "no queueing delay" 0. (avg_qdelay_ms env)
 
 let test_first_ack_timing () =
   (* With an empty queue the first packet's ACK arrives after exactly one
@@ -61,14 +90,14 @@ let test_first_ack_timing () =
       on_loss = (fun ~now_ms:_ -> ());
     }
   in
-  Env.run env handlers ~ms:100;
+  run ~handlers env ~ms:100;
   check_int "first ack time" 26 !first_ack
 
 let test_queue_builds_when_overdriven () =
   (* cwnd far above BDP: queue fills, RTT inflates by queueing delay. *)
   let env = make_env ~mbps:12. ~min_rtt:20 ~buffer:50 ~cwnd:60. () in
-  Env.run env Env.null_handlers ~ms:3000;
-  check_bool "queueing delay appears" true (Env.avg_qdelay_ms env > 5.)
+  run env ~ms:3000;
+  check_bool "queueing delay appears" true (avg_qdelay_ms env > 5.)
 
 let test_droptail_loss () =
   (* cwnd exceeding BDP + buffer must overflow the droptail queue. *)
@@ -77,53 +106,51 @@ let test_droptail_loss () =
   let handlers =
     { Env.on_ack = (fun _ -> ()); on_loss = (fun ~now_ms:_ -> incr losses) }
   in
-  Env.run env handlers ~ms:2000;
-  check_bool "drops observed" true ((Env.stats env).Env.dropped > 0);
+  run ~handlers env ~ms:2000;
+  check_bool "drops observed" true (dropped env > 0);
   (* drain in-flight loss notifications before comparing the counters *)
-  Env.set_cwnd env 1.;
-  Env.run env handlers ~ms:100;
-  check_int "handler saw every drop" (Env.stats env).Env.dropped !losses;
-  check_bool "loss rate positive" true (Env.loss_rate env > 0.)
+  set_cwnd env 1.;
+  run ~handlers env ~ms:100;
+  check_int "handler saw every drop" (dropped env) !losses;
+  check_bool "loss rate positive" true (loss_rate env > 0.)
 
 let test_no_loss_when_window_fits () =
   let env = make_env ~mbps:12. ~min_rtt:20 ~buffer:100 ~cwnd:10. () in
-  Env.run env Env.null_handlers ~ms:5000;
-  check_int "no drops" 0 (Env.stats env).Env.dropped;
-  check_float "zero loss rate" 0. (Env.loss_rate env)
+  run env ~ms:5000;
+  check_int "no drops" 0 (dropped env);
+  check_float "zero loss rate" 0. (loss_rate env)
 
 let test_delivery_bounded_by_capacity () =
   let env = make_env ~mbps:12. ~min_rtt:20 ~cwnd:1000. ~buffer:10_000 () in
-  Env.run env Env.null_handlers ~ms:5000;
-  let st = Env.stats env in
+  run env ~ms:5000;
   check_bool "delivered <= capacity" true
-    (float_of_int st.Env.delivered <= st.Env.capacity_pkts +. 1.);
-  check_bool "utilization <= 1" true (Env.utilization env <= 1.)
+    (float_of_int (delivered env) <= capacity_pkts env +. 1.);
+  check_bool "utilization <= 1" true (utilization env <= 1.)
 
 let test_full_utilization_with_big_window () =
   (* A window comfortably above BDP (but inside the buffer) should keep
      the bottleneck busy: utilization near 1. *)
   let env = make_env ~mbps:12. ~min_rtt:20 ~buffer:100 ~cwnd:60. () in
-  Env.run env Env.null_handlers ~ms:10_000;
-  check_bool "near-full utilization" true (Env.utilization env > 0.95)
+  run env ~ms:10_000;
+  check_bool "near-full utilization" true (utilization env > 0.95)
 
 let test_packet_conservation () =
   (* Every sent packet is eventually delivered or dropped (after the
      pipeline drains). *)
   let env = make_env ~mbps:12. ~min_rtt:20 ~buffer:20 ~cwnd:50. () in
-  Env.run env Env.null_handlers ~ms:3000;
+  run env ~ms:3000;
   (* stop sending: shrink window to zero-ish and drain *)
-  Env.set_cwnd env 1.;
-  Env.run env Env.null_handlers ~ms:2000;
-  let st = Env.stats env in
+  set_cwnd env 1.;
+  run env ~ms:2000;
   check_bool "conservation" true
-    (st.Env.delivered + st.Env.dropped + Env.inflight env >= st.Env.sent);
+    (delivered env + dropped env + inflight env >= sent env);
   check_bool "inflight small after drain" true
-    (Env.inflight env <= 2)
+    (inflight env <= 2)
 
 let test_set_cwnd_clamps () =
   let env = make_env () in
-  Env.set_cwnd env 0.1;
-  check_float "clamped to 1" 1. (Env.cwnd env)
+  set_cwnd env 0.1;
+  check_float "clamped to 1" 1. (cwnd env)
 
 let test_acks_monotone_time () =
   let env = make_env ~cwnd:30. () in
@@ -137,7 +164,7 @@ let test_acks_monotone_time () =
       on_loss = (fun ~now_ms:_ -> ());
     }
   in
-  Env.run env handlers ~ms:2000
+  run ~handlers env ~ms:2000
 
 let test_ack_seq_delivered_consistency () =
   let env = make_env ~cwnd:5. () in
@@ -151,14 +178,14 @@ let test_ack_seq_delivered_consistency () =
       on_loss = (fun ~now_ms:_ -> ());
     }
   in
-  Env.run env handlers ~ms:1000
+  run ~handlers env ~ms:1000
 
 let test_capacity_wasted_when_idle () =
   (* With a tiny window the trace offers more opportunities than used;
      utilization must reflect the waste rather than clamp to 1. *)
   let env = make_env ~mbps:96. ~min_rtt:40 ~cwnd:2. () in
-  Env.run env Env.null_handlers ~ms:5000;
-  check_bool "low utilization" true (Env.utilization env < 0.2)
+  run env ~ms:5000;
+  check_bool "low utilization" true (utilization env < 0.2)
 
 let test_zero_capacity_interval () =
   (* Failure injection: a trace segment with zero capacity stalls the
@@ -168,7 +195,7 @@ let test_zero_capacity_interval () =
       [ (1000, 12.); (500, 0.); (1000, 12.) ]
   in
   let env =
-    Env.create
+    create
       {
         Env.trace;
         min_rtt_ms = 20;
@@ -178,11 +205,10 @@ let test_zero_capacity_interval () =
         impairments = Env.no_impairments;
       }
   in
-  Env.run env Env.null_handlers ~ms:2500;
-  let st = Env.stats env in
-  check_bool "delivered something" true (st.Env.delivered > 0);
+  run env ~ms:2500;
+  check_bool "delivered something" true (delivered env > 0);
   (* RTT spikes during blackout must exceed minRTT + 100ms *)
-  let rtts = Canopy_util.Fbuf.to_array st.Env.rtt_samples in
+  let rtts = rtt_samples env in
   check_bool "blackout inflates rtt" true
     (Array.exists (fun r -> r > 120.) rtts)
 
@@ -192,16 +218,15 @@ let test_chain_handlers () =
     { Env.on_ack = (fun _ -> incr r); on_loss = (fun ~now_ms:_ -> ()) }
   in
   let env = make_env ~cwnd:5. () in
-  Env.run env (Env.chain (mk a) (mk b)) ~ms:500;
+  run ~handlers:(Env.chain (mk a) (mk b)) env ~ms:500;
   check_bool "both invoked" true (!a > 0);
   check_int "equally" !a !b
 
 let test_deterministic_replay () =
   let run () =
     let env = make_env ~mbps:24. ~cwnd:40. ~buffer:30 () in
-    Env.run env Env.null_handlers ~ms:4000;
-    let st = Env.stats env in
-    (st.Env.sent, st.Env.delivered, st.Env.dropped)
+    run env ~ms:4000;
+    (sent env, delivered env, dropped env)
   in
   check_bool "identical runs" true (run () = run ())
 
@@ -228,7 +253,7 @@ let suite =
 
 let impaired ?(random_loss = 0.) ?(ack_jitter_ms = 0) ?(reorder_prob = 0.)
     ?(reorder_ms = 0) () =
-  Env.create
+  create
     {
       Env.trace = Trace.constant ~name:"c" ~duration_ms:10_000 ~mbps:24.;
       min_rtt_ms = 20;
@@ -243,10 +268,9 @@ let test_random_loss_injected () =
   (* A window that fits comfortably would see zero congestive drops; with
      random loss enabled, drops must appear at roughly the set rate. *)
   let env = impaired ~random_loss:0.02 () in
-  Env.run env Env.null_handlers ~ms:8000;
-  let st = Env.stats env in
-  check_bool "drops appear without congestion" true (st.Env.dropped > 0);
-  let rate = float_of_int st.Env.dropped /. float_of_int st.Env.sent in
+  run env ~ms:8000;
+  check_bool "drops appear without congestion" true (dropped env > 0);
+  let rate = float_of_int (dropped env) /. float_of_int (sent env) in
   check_bool
     (Printf.sprintf "rate near 2%% (got %.3f)" rate)
     true
@@ -254,13 +278,13 @@ let test_random_loss_injected () =
 
 let test_no_impairments_no_loss () =
   let env = impaired () in
-  Env.run env Env.null_handlers ~ms:8000;
-  check_int "clean link" 0 (Env.stats env).Env.dropped
+  run env ~ms:8000;
+  check_int "clean link" 0 (dropped env)
 
 let test_ack_jitter_spreads_rtt () =
   let env = impaired ~ack_jitter_ms:15 () in
-  Env.run env Env.null_handlers ~ms:5000;
-  let rtts = Canopy_util.Fbuf.to_array (Env.stats env).Env.rtt_samples in
+  run env ~ms:5000;
+  let rtts = rtt_samples env in
   let mn = Array.fold_left Float.min rtts.(0) rtts in
   let mx = Array.fold_left Float.max rtts.(0) rtts in
   check_bool "floor at minRTT" true (mn >= 20.);
@@ -271,17 +295,16 @@ let test_ack_jitter_spreads_rtt () =
 
 let test_jitter_keeps_conservation () =
   let env = impaired ~ack_jitter_ms:25 ~random_loss:0.01 () in
-  Env.run env Env.null_handlers ~ms:4000;
-  Env.set_cwnd env 1.;
-  Env.run env Env.null_handlers ~ms:1000;
-  let st = Env.stats env in
+  run env ~ms:4000;
+  set_cwnd env 1.;
+  run env ~ms:1000;
   check_bool "conservation with impairments" true
-    (st.Env.delivered + st.Env.dropped + Env.inflight env >= st.Env.sent)
+    (delivered env + dropped env + inflight env >= sent env)
 
 let test_impairment_validation () =
   let mk impairments =
     ignore
-      (Env.create
+      (create
          {
            Env.trace = Trace.constant ~name:"c" ~duration_ms:10 ~mbps:1.;
            min_rtt_ms = 10;
@@ -291,25 +314,25 @@ let test_impairment_validation () =
            impairments;
          })
   in
-  Alcotest.check_raises "loss prob" (Invalid_argument "Env.create: random_loss")
+  Alcotest.check_raises "loss prob" (Invalid_argument "Fleet.create: random_loss")
     (fun () -> mk { Env.no_impairments with random_loss = 1.5 });
   Alcotest.check_raises "reorder prob"
-    (Invalid_argument "Env.create: reorder_prob") (fun () ->
+    (Invalid_argument "Fleet.create: reorder_prob") (fun () ->
       mk { Env.no_impairments with reorder_prob = -0.1 });
-  Alcotest.check_raises "reorder ms" (Invalid_argument "Env.create: reorder_ms")
+  Alcotest.check_raises "reorder ms" (Invalid_argument "Fleet.create: reorder_ms")
     (fun () -> mk { Env.no_impairments with reorder_prob = 0.1; reorder_ms = -1 })
 
 let test_reorder_spreads_rtt () =
   (* Reordering holds some ACKs back by reorder_ms: the RTT distribution
      acquires a visible tail while the floor stays at minRTT. *)
   let env = impaired ~reorder_prob:0.3 ~reorder_ms:12 () in
-  Env.run env Env.null_handlers ~ms:5000;
-  let rtts = Canopy_util.Fbuf.to_array (Env.stats env).Env.rtt_samples in
+  run env ~ms:5000;
+  let rtts = rtt_samples env in
   let mn = Array.fold_left Float.min rtts.(0) rtts in
   let mx = Array.fold_left Float.max rtts.(0) rtts in
   check_bool "floor at minRTT" true (mn >= 20.);
   check_bool "reorder tail visible" true (mx -. mn >= 10.);
-  check_bool "no drops from reordering" true ((Env.stats env).Env.dropped = 0)
+  check_bool "no drops from reordering" true (dropped env = 0)
 
 let test_reorder_out_of_order_acks () =
   (* Held-back feedback means later sequence numbers overtake earlier
@@ -326,17 +349,15 @@ let test_reorder_out_of_order_acks () =
       on_loss = (fun ~now_ms:_ -> ());
     }
   in
-  Env.run env handlers ~ms:5000;
+  run ~handlers env ~ms:5000;
   check_bool "acks overtake" true !out_of_order
 
 let test_reorder_zero_prob_noop () =
   (* reorder_prob = 0 must leave the PRNG stream untouched: the run is
      bit-identical to one with no reorder fields set at all. *)
   let run env =
-    Env.run env Env.null_handlers ~ms:4000;
-    let st = Env.stats env in
-    (st.Env.sent, st.Env.delivered, st.Env.dropped,
-     Canopy_util.Fbuf.to_array st.Env.rtt_samples)
+    run env ~ms:4000;
+    (sent env, delivered env, dropped env, rtt_samples env)
   in
   let a = run (impaired ~random_loss:0.02 ~ack_jitter_ms:3 ()) in
   let b =
@@ -376,12 +397,11 @@ let qcheck_netsim =
            return (mbps, cwnd, buffer, min_rtt)))
       (fun (mbps, cwnd, buffer, min_rtt) ->
         let env = make_env ~mbps ~min_rtt ~buffer ~cwnd ~duration:4000 () in
-        Env.run env Env.null_handlers ~ms:3000;
-        let st = Env.stats env in
-        float_of_int st.Env.delivered <= st.Env.capacity_pkts +. 1.
-        && Env.utilization env <= 1.
-        && Env.loss_rate env >= 0.
-        && Env.loss_rate env <= 1.);
+        run env ~ms:3000;
+        float_of_int (delivered env) <= capacity_pkts env +. 1.
+        && utilization env <= 1.
+        && loss_rate env >= 0.
+        && loss_rate env <= 1.);
     Test.make ~name:"all RTT samples at least minRTT" ~count:50
       (make
          Gen.(
@@ -391,8 +411,8 @@ let qcheck_netsim =
            return (mbps, cwnd, min_rtt)))
       (fun (mbps, cwnd, min_rtt) ->
         let env = make_env ~mbps ~min_rtt ~cwnd ~duration:3000 () in
-        Env.run env Env.null_handlers ~ms:2000;
-        Canopy_util.Fbuf.to_array (Env.stats env).Env.rtt_samples
+        run env ~ms:2000;
+        rtt_samples env
         |> Array.for_all (fun r -> r >= float_of_int min_rtt));
   ]
 
